@@ -49,9 +49,9 @@ class LintConfig:
     worker_entry: str = "repro.engine.tasks.execute_task"
     #: Fully-qualified module globals SIM012 sanctions — deliberately
     #: fork-local per-process state whose contents never reach results
-    #: (the engine's per-worker trace memo is the seed entry).
+    #: (the engine's per-worker compiled-trace memo is the seed entry).
     worker_state_allow: Tuple[str, ...] = (
-        "repro.engine.tasks._TRACE_MEMO",)
+        "repro.engine.tasks._CTRACE_MEMO",)
     #: Rule ids disabled globally.
     disable: Tuple[str, ...] = ()
     #: Directory containing pyproject.toml (None when none was found).

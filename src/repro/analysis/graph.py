@@ -97,7 +97,7 @@ def module_name(relpath: str) -> Optional[str]:
 class MutableGlobal:
     """One module-level assignment of a mutable container."""
 
-    qualname: str  # e.g. "repro.engine.tasks._TRACE_MEMO"
+    qualname: str  # e.g. "repro.engine.tasks._CTRACE_MEMO"
     module: str
     name: str
     path: str

@@ -227,17 +227,17 @@ class WorkerPurityRule(ProjectRule):
       (``MEMO[k] = v``, ``del MEMO[k]``, ``MEMO[k] += v``) and mutator
       method calls (``.append``/``.update``/``.popitem``/
       ``.move_to_end``/...), including globals imported from another
-      module (``from .tasks import _TRACE_MEMO``);
+      module (``from .tasks import _CTRACE_MEMO``);
     * ``global NAME`` statements (rebinding module state from inside a
       worker is the same hazard in rebinding clothes);
     * attribute assignment on an imported module object
       (``tasks.LIMIT = 4`` monkey-patching).
 
     Sanctioned per-process state — deliberately fork-local memos whose
-    contents never leak into results, like the engine's trace memo — is
-    allowlisted by fully-qualified name via ``worker_state_allow`` in
-    ``[tool.simlint]``.  Every finding carries the shortest call chain
-    from the entry point as its witness.
+    contents never leak into results, like the engine's compiled-trace
+    memo — is allowlisted by fully-qualified name via
+    ``worker_state_allow`` in ``[tool.simlint]``.  Every finding carries
+    the shortest call chain from the entry point as its witness.
     """
 
     id = "SIM012"

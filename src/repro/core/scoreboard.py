@@ -269,10 +269,12 @@ class Scoreboard:
     def run(self, trace: Trace,
             on_window: Optional[Callable[[], None]] = None,
             window_interval: int = 0) -> CoreStats:
-        # Compiled traces take the flat-array fast loop unless a flight
-        # recorder is attached (the recorder wants record objects and a
-        # per-record emit; correctness is identical either way, so the
-        # rare traced run just uses the reference loop via __iter__).
+        # The loop follows the input: a compiled trace with no flight
+        # recorder takes the flat-array loop; everything else (a plain
+        # Trace, or any traced run, whose recorder wants record objects
+        # and a per-record emit) takes the record-object loop below,
+        # iterating a compiled trace via __iter__.  The record-object
+        # loop is also the reference the flat loop is tested against.
         if isinstance(trace, CompiledTrace) and self.sink is None:
             return self._run_compiled(trace, on_window, window_interval)
         cfg = self.config

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..config import GenerationConfig, get_generation
-from ..fastpath import fast_enabled
 from ..frontend.predictor import BranchStats, BranchUnit
 from ..memory.hierarchy import MemoryHierarchy, MemoryStats
 from ..memory.icache import InstructionCache
@@ -79,8 +78,7 @@ class GenerationSimulator:
     """
 
     def __init__(self, config: GenerationConfig, corunners: int = 0,
-                 trace_sink: Optional[TraceSink] = None,
-                 fast: Optional[bool] = None) -> None:
+                 trace_sink: Optional[TraceSink] = None) -> None:
         if isinstance(config, str):
             config = get_generation(config)
         self.config = config
@@ -89,15 +87,10 @@ class GenerationSimulator:
         #: Optional flight recorder shared by every component; ``None``
         #: (the default) keeps all emission sites disabled.
         self.trace_sink = trace_sink
-        #: Fast-path state (``None`` defers to ``REPRO_FAST``); forwarded
-        #: to the branch unit, where it enables the pure-hash memo layer.
-        #: Results are identical either way (see ``repro.fastpath``).
-        self.fast = fast_enabled(fast)
         self.ledger = EnergyLedger(registry=self.metrics)
         self.branch_unit = BranchUnit(config, ledger=self.ledger,
                                       registry=self.metrics,
-                                      sink=trace_sink,
-                                      fast=self.fast)
+                                      sink=trace_sink)
         self.memory = MemoryHierarchy(config, ledger=self.ledger,
                                       corunners=corunners,
                                       registry=self.metrics,
@@ -126,11 +119,6 @@ class GenerationSimulator:
         self._uoc_last_branch = -1
         self._legacy_base_charged = False
         self._recorder: Optional[WindowRecorder] = None
-
-    @property
-    def instructions_simulated(self) -> int:
-        """Retired instructions across every ``run`` segment so far."""
-        return self.scoreboard._index
 
     def run(self, trace: Trace, *,
             window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,

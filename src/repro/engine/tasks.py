@@ -39,13 +39,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..config import GenerationConfig
-from ..fastpath import fast_enabled
 from ..metrics.windows import DEFAULT_WINDOW_INSTRUCTIONS
 from ..serialization import config_from_dict, config_to_dict
 from ..traces.compiled import (CompiledTrace, compile_trace,
                                compiled_fingerprint)
 from ..traces.spec import TraceSpec
-from ..traces.types import Trace
 from .cache import CompiledTraceStore
 
 #: Bump when the result payload format or task semantics change.
@@ -65,23 +63,17 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                     window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
                     window_counters: Optional[Sequence[str]] = None,
                     warmup: int = 0,
-                    fast: Optional[bool] = None,
                     ) -> Dict[str, Any]:
     """One full-simulator run; ``warmup`` > 0 splits it into a cached
     warmup-prefix checkpoint (see :func:`warmup_task`) plus a measure
     phase resumed from that snapshot.  Results are bit-identical either
     way — warmup only changes how the work is scheduled and cached.
-
-    ``fast`` overrides the worker's ``REPRO_FAST`` environment for this
-    task.  It travels as the transport-only ``_fast`` key — excluded
-    from the fingerprint, because the fast and reference paths produce
-    bit-identical results (see :mod:`repro.fastpath`).
     """
     if not 0 <= warmup < spec.n_instructions:
         raise ValueError(
             f"warmup must be in [0, {spec.n_instructions}) for this "
             f"trace, got {warmup}")
-    payload = {
+    return {
         "kind": "population",
         "config": config_to_dict(config),
         "trace": spec.to_dict(),
@@ -91,9 +83,6 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                             if window_counters is not None else None),
         "warmup": warmup,
     }
-    if fast is not None:
-        payload["_fast"] = bool(fast)
-    return payload
 
 
 def warmup_task(config: GenerationConfig, spec: TraceSpec,
@@ -101,18 +90,16 @@ def warmup_task(config: GenerationConfig, spec: TraceSpec,
                 window_interval: int = DEFAULT_WINDOW_INSTRUCTIONS,
                 window_counters: Optional[Sequence[str]] = None,
                 warmup: int = 0,
-                fast: Optional[bool] = None,
                 ) -> Dict[str, Any]:
     """Simulate the first ``warmup`` instructions and return the
     simulator checkpoint document — the snapshot measure phases resume
     from.  The window configuration rides along because the checkpoint
-    carries the (partially filled) window recorder.  ``fast`` as in
-    :func:`population_task` (transport-only, fingerprint-invariant)."""
+    carries the (partially filled) window recorder."""
     if not 0 < warmup < spec.n_instructions:
         raise ValueError(
             f"warmup must be in (0, {spec.n_instructions}) for this "
             f"trace, got {warmup}")
-    payload = {
+    return {
         "kind": "warmup",
         "config": config_to_dict(config),
         "trace": spec.to_dict(),
@@ -122,9 +109,6 @@ def warmup_task(config: GenerationConfig, spec: TraceSpec,
                             if window_counters is not None else None),
         "warmup": warmup,
     }
-    if fast is not None:
-        payload["_fast"] = bool(fast)
-    return payload
 
 
 def pipetrace_task(config: GenerationConfig, spec: TraceSpec,
@@ -201,7 +185,7 @@ _TRACE_STATS: Dict[str, float] = {
     "compile_seconds": 0.0,   # compile_trace() wall time
     "generated": 0,           # traces materialized from specs
     "compiled": 0,            # compile passes performed
-    "memo_hits": 0,           # in-process reuses (trace or compiled memo)
+    "memo_hits": 0,           # in-process compiled-memo reuses
     "store_hits": 0,          # compiled-trace store loads
     "store_misses": 0,        # store lookups that fell through
 }
@@ -212,36 +196,13 @@ def trace_stats_snapshot() -> Dict[str, float]:
     return dict(_TRACE_STATS)
 
 
-#: Per-process memo of recently built traces.  Tasks are submitted
-#: trace-major (all generations of a trace adjacent), so a small LRU lets
-#: a worker regenerate each trace once instead of once per generation.
-_TRACE_MEMO: "OrderedDict[Tuple[str, int, int], Trace]" = OrderedDict()
-_TRACE_MEMO_CAP = 16
-
-
-def _build_trace(spec_dict: Dict[str, Any]) -> Trace:
-    spec = TraceSpec(**spec_dict)
-    key = spec.key()
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
-        t0 = time.perf_counter()
-        trace = spec.build()
-        _TRACE_STATS["generate_seconds"] += time.perf_counter() - t0
-        _TRACE_STATS["generated"] += 1
-        _TRACE_MEMO[key] = trace
-        while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-            _TRACE_MEMO.popitem(last=False)
-    else:
-        _TRACE_MEMO.move_to_end(key)
-        _TRACE_STATS["memo_hits"] += 1
-    return trace
-
-
 #: Per-process memo of compiled traces — the thin LRU over
-#: :class:`~repro.engine.cache.CompiledTraceStore`.  One compiled trace
-#: serves all six generations of a population sweep on this worker.
+#: :class:`~repro.engine.cache.CompiledTraceStore`.  Tasks are submitted
+#: trace-major (all generations of a trace adjacent), so one compiled
+#: trace serves every generation of a population sweep on this worker.
 _CTRACE_MEMO: "OrderedDict[Tuple[str, int, int], CompiledTrace]" = \
     OrderedDict()
+_CTRACE_MEMO_CAP = 16
 
 
 def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
@@ -265,7 +226,10 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
         else:
             _TRACE_STATS["store_misses"] += 1
     if compiled is None:
-        trace = _build_trace(spec_dict)
+        t0 = time.perf_counter()
+        trace = spec.build()
+        _TRACE_STATS["generate_seconds"] += time.perf_counter() - t0
+        _TRACE_STATS["generated"] += 1
         t0 = time.perf_counter()
         compiled = compile_trace(trace)
         _TRACE_STATS["compile_seconds"] += time.perf_counter() - t0
@@ -273,17 +237,9 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
         if store is not None:
             store.put(fp, compiled)
     _CTRACE_MEMO[key] = compiled
-    while len(_CTRACE_MEMO) > _TRACE_MEMO_CAP:
+    while len(_CTRACE_MEMO) > _CTRACE_MEMO_CAP:
         _CTRACE_MEMO.popitem(last=False)
     return compiled
-
-
-def _payload_fast(payload: Dict[str, Any]) -> bool:
-    """Effective fast-path state for one payload: the transport-only
-    ``_fast`` override when present, else the worker's ``REPRO_FAST``
-    environment.  Never part of the fingerprint — both paths produce
-    bit-identical results."""
-    return fast_enabled(payload.get("_fast"))
 
 
 #: Per-process memo of warmup checkpoints, keyed by warmup-task
@@ -311,11 +267,8 @@ def _run_warmup_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..core import GenerationSimulator
 
     config = config_from_dict(payload["config"])
-    fast = _payload_fast(payload)
-    trace = (_build_compiled(payload["trace"]) if fast
-             else _build_trace(payload["trace"]))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              fast=fast)
+    trace = _build_compiled(payload["trace"])
+    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     sim.run(trace.slice(0, int(payload["warmup"])),
             window_interval=payload.get(
                 "window_interval", DEFAULT_WINDOW_INSTRUCTIONS),
@@ -330,11 +283,8 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from .results import SliceMetrics
 
     config = config_from_dict(payload["config"])
-    fast = _payload_fast(payload)
-    trace = (_build_compiled(payload["trace"]) if fast
-             else _build_trace(payload["trace"]))
-    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              fast=fast)
+    trace = _build_compiled(payload["trace"])
+    sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     counters = payload.get("window_counters")
     warmup = int(payload.get("warmup", 0) or 0)
     if warmup > 0:
@@ -343,11 +293,9 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         # otherwise the per-process memo builds (or reuses) it here.
         state = payload.get("_warmup_state")
         if state is None:
-            inner = {**{k: v for k, v in payload.items()
-                        if not k.startswith("_")}, "kind": "warmup"}
-            if "_fast" in payload:  # transport-only; keep paths aligned
-                inner["_fast"] = payload["_fast"]
-            state = warmup_checkpoint(inner)
+            state = warmup_checkpoint(
+                {**{k: v for k, v in payload.items()
+                    if not k.startswith("_")}, "kind": "warmup"})
         sim.restore(state)
         trace = trace.slice(warmup)
     r = sim.run(trace,
@@ -377,7 +325,7 @@ def _run_ghist_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                                       measure_conditional_mpki)
     from ..frontend.shp import ScaledHashedPerceptron
 
-    trace = _build_trace(payload["trace"])
+    trace = _build_compiled(payload["trace"])
     shp = ShpDirectionAdapter(
         ScaledHashedPerceptron(payload["tables"], payload["rows"],
                                ghist_bits=payload["ghist_bits"],
@@ -390,13 +338,12 @@ def _run_pipetrace_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..observe.sink import TraceSink
 
     config = config_from_dict(payload["config"])
-    trace = _build_trace(payload["trace"])
+    trace = _build_compiled(payload["trace"])
     sink = TraceSink(capacity=payload.get("capacity", 65536))
-    # Sink attached -> the scoreboard uses its reference loop (events
-    # need per-record context); the predictor hash memos still apply and
-    # are bit-identical, so fast on/off never changes the event stream.
+    # Sink attached -> the scoreboard runs its record-object loop over
+    # the compiled trace (events need per-record context).
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
-                              trace_sink=sink, fast=_payload_fast(payload))
+                              trace_sink=sink)
     r = sim.run(trace, window_interval=0)
     return {
         "generation": config.name,

@@ -254,10 +254,6 @@ class BTBHierarchy:
     def mbtb_entry_count(self) -> int:
         return self.mbtb.entry_count
 
-    @property
-    def l2btb_entry_count(self) -> int:
-        return self.l2btb.entry_count
-
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def find_entry(self, pc: int) -> Optional[BTBEntry]:

@@ -207,10 +207,6 @@ class MultiStridePrefetcher:
     def _advance(self, stream: StrideStream, addr: int) -> int:
         return stream._advance_from(addr)
 
-    @property
-    def any_stream_locked(self) -> bool:
-        return any(s.locked for s in self.streams)
-
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def state_dict(self) -> dict[str, object]:

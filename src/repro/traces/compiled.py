@@ -1,4 +1,4 @@
-"""Decode-once compiled traces: flat parallel arrays for the fast path.
+"""Decode-once compiled traces: flat parallel arrays for the flat loop.
 
 A :class:`~repro.traces.types.Trace` is a list of ``TraceRecord``
 objects — ideal for the reference scoreboard loop, but every pass over
@@ -183,8 +183,8 @@ class CompiledTrace:
 
 def compile_trace(trace: Trace) -> CompiledTrace:
     """One decode pass: records -> flat columns (+ the branch sparse
-    list referencing the original records, so in-process fast runs feed
-    the branch unit the exact objects the reference path would)."""
+    list referencing the original records, so in-process flat-loop runs
+    feed the branch unit the exact objects the record loop would)."""
     records = trace.records if isinstance(trace, Trace) else list(trace)
     columns: Dict[str, List[int]] = {
         "pc": [r.pc for r in records],

@@ -1,14 +1,15 @@
-"""Tests for the compiled-trace fast path (docs/performance.md).
+"""Tests for the compiled-trace path (docs/performance.md).
 
-The contract under test: ``REPRO_FAST`` (and the ``fast=`` knob) only
-changes *how fast* results are produced, never *what* is produced —
-metrics snapshots, population archives, window series, event streams
-and checkpoints are byte-identical between the flat-array fast loop
-and the record-object reference loop, serial or sharded, warm or cold.
-Alongside that: the compiled-trace binary format round-trips and fails
-closed (corrupt store entries regenerate), the ``_fast`` knob is
-transport-only (fingerprints never move), and the two-slot port tracker
-issues bit-identically to the old O(ports) scan.
+The scoreboard picks its loop by input type: a spec compiles to a
+:class:`~repro.traces.compiled.CompiledTrace` and runs the flat-array
+loop, while a plain :class:`~repro.traces.types.Trace` (``spec.build()``)
+runs the record-object reference loop.  The contract under test: the
+two produce byte-identical metrics snapshots, window series, event
+streams, checkpoints and population archives, serial or sharded, warm
+or cold.  Alongside that: the compiled-trace binary format round-trips
+and fails closed (corrupt store entries regenerate), the memoized
+SHP/LHP index hashes equal the direct hash composition, and the
+two-slot port tracker issues bit-identically to the old O(ports) scan.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from repro.core.scoreboard import _PortGroup
 from repro.engine import execute_population, run_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
-from repro.engine.tasks import (_CTRACE_MEMO, _build_compiled,
-                                population_task, task_fingerprint)
-from repro.fastpath import FAST_ENV, fast_enabled
+from repro.engine.tasks import _CTRACE_MEMO, _build_compiled
+from repro.frontend.history import fold_bits, mix_segment, pc_hash
+from repro.frontend.lhp import LocalHashedPerceptron
+from repro.frontend.shp import ScaledHashedPerceptron
 from repro.observe.events import events_to_jsonl
 from repro.serialization import population_to_json
-from repro.traces import TraceSpec, make_trace
+from repro.traces import SUITE_WEIGHTS, TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
                                    load_bytes)
@@ -197,32 +199,54 @@ def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The fast knob: env resolution and fingerprint transparency
+# SHP/LHP: memoized indices == the direct hash composition
 # ---------------------------------------------------------------------------
 
-def test_fast_enabled_env_and_override(monkeypatch):
-    monkeypatch.delenv(FAST_ENV, raising=False)
-    assert fast_enabled() is True  # default on
-    monkeypatch.setenv(FAST_ENV, "off")
-    assert fast_enabled() is False
-    assert fast_enabled(True) is True    # explicit knob beats env
-    monkeypatch.setenv(FAST_ENV, "1")
-    assert fast_enabled() is True
-    assert fast_enabled(False) is False
+@pytest.mark.parametrize("n_tables,rows,ghist_bits", [(8, 1024, 165),
+                                                      (16, 2048, 206)])
+def test_shp_indices_match_direct_hashes(n_tables, rows, ghist_bits):
+    rng = random.Random(n_tables)
+    shp = ScaledHashedPerceptron(n_tables, rows, ghist_bits=ghist_bits,
+                                 phist_bits=80)
+    pcs = [rng.randrange(1 << 20) << 2 for _ in range(40)]
+    for _ in range(2000):
+        pc = rng.choice(pcs)  # repeats exercise the memo hit path
+        shp.ghist.restore(rng.getrandbits(ghist_bits))
+        shp.phist.restore(rng.getrandbits(80))
+        want = []
+        for t in range(n_tables):
+            glo, ghi = shp.ghist_intervals[t]
+            plo, phi = shp.phist_intervals[t]
+            g = mix_segment(shp.ghist.segment(glo, ghi), ghi - glo,
+                            shp.index_bits, salt=t + 1)
+            p = mix_segment(shp.phist.segment(plo, phi), phi - plo,
+                            shp.index_bits, salt=0x40 + t)
+            h = pc_hash(pc, shp.index_bits, salt=(t + 1) * 0x51)
+            want.append((g ^ p ^ h) & (rows - 1))
+        assert shp._indices(pc) == tuple(want)
 
 
-def test_fast_knob_never_moves_fingerprints():
-    config = repro.get_generation("M3")
-    spec = TraceSpec(family="specint_like", seed=4, n_instructions=2000)
-    plain = population_task(config, spec)
-    for knob in (True, False):
-        flagged = population_task(config, spec, fast=knob)
-        assert flagged["_fast"] is knob
-        assert task_fingerprint(flagged) == task_fingerprint(plain)
+def test_lhp_indices_match_direct_hashes():
+    rng = random.Random(7)
+    lhp = LocalHashedPerceptron()
+    pcs = [rng.randrange(1 << 20) << 2 for _ in range(40)]
+    for _ in range(2000):
+        pc = rng.choice(pcs)
+        lhist = rng.getrandbits(lhp.local_bits) & rng.choice([0xF, 0xFFFF])
+        want = []
+        for t in range(lhp.n_tables):
+            lo, hi = lhp.intervals[t]
+            seg = (lhist >> lo) & ((1 << (hi - lo)) - 1)
+            h = fold_bits(seg, hi - lo, lhp.index_bits)
+            p = pc_hash(pc, lhp.index_bits, salt=(t + 3) * 0x2B)
+            want.append((h ^ p) & (lhp.rows - 1))
+        assert lhp._indices(pc, lhist) == tuple(want)
+        assert lhp._history_slot(pc) == pc_hash(
+            pc, lhp.history_entries.bit_length() - 1, salt=0x77)
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: fast vs reference, every execution mode
+# Bit-identity: record loop (plain Trace) vs flat loop (spec), every mode
 # ---------------------------------------------------------------------------
 
 _GENS = ("M1", "M6")
@@ -230,57 +254,62 @@ _GENS = ("M1", "M6")
 
 @pytest.mark.parametrize("gen", _GENS)
 def test_single_run_identical(gen):
-    spec = ("specint_like", 11, 5000)
-    ref = repro.run(spec, gen, fast=False)
-    fast = repro.run(spec, gen, fast=True)
-    assert _snap(fast) == _snap(ref)
-    assert fast.windows == ref.windows
+    for i, family in enumerate(SUITE_WEIGHTS):
+        spec = TraceSpec(family, 11 + i, 4000)
+        ref = repro.run(spec.build(), gen)
+        flat = repro.run(spec, gen)
+        assert _snap(flat) == _snap(ref), family
+        assert flat.windows == ref.windows, family
 
 
 def test_single_run_warmup_identical():
-    spec = ("mobile_like", 6, 4000)
-    ref = repro.run(spec, "M5", fast=False)
-    fast = repro.run(spec, "M5", warmup=1500, fast=True)
-    assert _snap(fast) == _snap(ref)
+    spec = TraceSpec("mobile_like", 6, 4000)
+    ref = repro.run(spec.build(), "M5")
+    flat = repro.run(spec, "M5", warmup=1500)
+    assert _snap(flat) == _snap(ref)
 
 
 def test_event_stream_identical():
-    spec = ("specint_like", 2, 1500)
-    ref = repro.run(spec, "M4", trace_to=True, fast=False)
-    fast = repro.run(spec, "M4", trace_to=True, fast=True)
-    assert events_to_jsonl(fast.events) == events_to_jsonl(ref.events)
-    assert _snap(fast) == _snap(ref)
+    # Traced runs take the record loop on either input; the compiled
+    # trace's record view must be indistinguishable from the plain one,
+    # and tracing must not move the flat loop's untraced numbers.
+    spec = TraceSpec("specint_like", 2, 1500)
+    ref = repro.run(spec.build(), "M4", trace_to=True)
+    traced = repro.run(spec, "M4", trace_to=True)
+    assert events_to_jsonl(traced.events) == events_to_jsonl(ref.events)
+    assert _snap(traced) == _snap(ref)
+    assert _snap(repro.run(spec, "M4")) == _snap(ref)
 
 
 def test_checkpoint_resume_identical_on_compiled_trace():
     spec = TraceSpec(family="stream_like", seed=13, n_instructions=4000)
     compiled = _build_compiled(spec.to_dict())
 
-    whole = GenerationSimulator("M6", fast=True)
+    whole = GenerationSimulator("M6")
     result = whole.run(compiled)
 
-    first = GenerationSimulator("M6", fast=True)
+    first = GenerationSimulator("M6")
     first.run(compiled.slice(0, 1700), finalize=False)
     doc = json.loads(json.dumps(first.save_state()))
-    resumed = GenerationSimulator("M6", fast=True)
+    resumed = GenerationSimulator("M6")
     resumed.restore(doc)
     res2 = resumed.run(compiled.slice(1700))
     assert _snap(res2) == _snap(result)
+    assert _snap(GenerationSimulator("M6").run(spec.build())) == \
+        _snap(result)
 
 
-def _population(workers, fast, warmup=0):
+def _population(workers, warmup=0):
     clear_caches()
     return run_population(n_slices=2, slice_length=3000, seed=2020,
                           generations=("M2", "M6"), workers=workers,
-                          cache="off", warmup=warmup, fast=fast)
+                          cache="off", warmup=warmup)
 
 
 def test_population_archives_identical_serial_and_sharded():
-    ref = population_to_json(_population(workers=1, fast=False))
-    assert population_to_json(_population(workers=1, fast=True)) == ref
-    assert population_to_json(_population(workers=2, fast=True)) == ref
-    assert population_to_json(
-        _population(workers=1, fast=True, warmup=1000)) == ref
+    ref = population_to_json(_population(workers=1))
+    assert population_to_json(_population(workers=2)) == ref
+    assert population_to_json(_population(workers=1, warmup=1000)) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +319,7 @@ def test_population_archives_identical_serial_and_sharded():
 def test_engine_stats_track_instructions_and_kips():
     clear_caches()
     _, stats = execute_population(n_slices=1, slice_length=2000,
-                                  generations=("M1",), cache="off",
-                                  fast=True)
+                                  generations=("M1",), cache="off")
     assert stats.instructions_total == 2000
     assert stats.instructions_executed == 2000
     assert stats.kips > 0.0
@@ -308,7 +336,7 @@ def test_ledger_records_and_cli_show_kips(tmp_path, capsys, monkeypatch):
     from repro.observe.ledger import read_ledger
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    repro.run(("specint_like", 17, 2000), "M3", ledger=True, fast=True)
+    repro.run(("specint_like", 17, 2000), "M3", ledger=True)
     records = read_ledger(tmp_path)
     assert len(records) == 1
     engine = records[0]["engine"]

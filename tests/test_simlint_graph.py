@@ -278,9 +278,9 @@ def test_real_tree_reaches_workers_through_executors_table():
     g = ProjectGraph.from_paths([SRC_ROOT])
     chains = g.reachable("repro.engine.tasks.execute_task")
     # The dispatch-table hop: _EXECUTORS[kind](payload) fans out.
-    assert "repro.engine.tasks._build_trace" in chains
+    assert "repro.engine.tasks._build_compiled" in chains
     assert len(chains) > 50  # the worker touches half the simulator
-    assert "repro.engine.tasks._TRACE_MEMO" in g.mutable_globals
+    assert "repro.engine.tasks._CTRACE_MEMO" in g.mutable_globals
 
 
 @pytest.mark.skipif(not SRC_ROOT.is_dir(), reason="source tree not present")
@@ -291,7 +291,8 @@ def test_real_tree_sim012_fires_without_the_shipped_allowlist():
     result = run_lint([SRC_ROOT], config=config, select=["SIM012"],
                       use_baseline=False)
     memo_hits = [f for f in result.new_findings
-                 if "repro.engine.tasks._TRACE_MEMO" in f.message]
-    assert memo_hits, "the trace memo must be caught once un-allowlisted"
+                 if "repro.engine.tasks._CTRACE_MEMO" in f.message]
+    assert memo_hits, ("the compiled-trace memo must be caught once "
+                       "un-allowlisted")
     for f in memo_hits:
         assert "via" in f.message  # chain witness present
