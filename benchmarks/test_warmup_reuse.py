@@ -3,7 +3,7 @@
 Repeated measurement of the same workload — tracing passes, counter
 sweeps, A/B reruns — re-executes an identical warmup prefix every time.
 With ``warmup=N`` the prefix is simulated once, checkpointed into the
-per-process warmup memo, and every subsequent run restores the snapshot
+task cache's memory tier, and every subsequent run restores the snapshot
 and simulates only the measure suffix.  The guard times three full cold
 runs against three snapshot runs with a dominant warmup fraction (16k of
 20k instructions): the snapshot side simulates 16k once plus 3 x 4k

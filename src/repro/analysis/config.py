@@ -1,10 +1,10 @@
 """simlint configuration: the ``[tool.simlint]`` pyproject section.
 
 The defaults baked into :class:`LintConfig` mirror the section this
-repository ships, so environments whose Python lacks ``tomllib``
-(< 3.11) behave identically to configured ones.  Path-valued settings
-are posix-style and relative to the directory holding ``pyproject.toml``
-(the *project root*).
+repository ships (a tier-1 test holds them equal), so environments that
+can read neither ``tomllib`` (< 3.11) nor ``tomli`` behave identically
+to configured ones.  Path-valued settings are posix-style and relative
+to the directory holding ``pyproject.toml`` (the *project root*).
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ from typing import Optional, Sequence, Tuple
 
 try:  # Python >= 3.11
     import tomllib
-except ImportError:  # pragma: no cover - 3.9/3.10 fallback to defaults
-    tomllib = None
+except ImportError:  # pragma: no cover - 3.9/3.10
+    try:  # the same parser as a package (pytest depends on it there)
+        import tomli as tomllib
+    except ImportError:  # fall back to the defaults below
+        tomllib = None
 
 
 @dataclass
@@ -49,9 +52,11 @@ class LintConfig:
     worker_entry: str = "repro.engine.tasks.execute_task"
     #: Fully-qualified module globals SIM012 sanctions — deliberately
     #: fork-local per-process state whose contents never reach results
-    #: (the engine's per-worker compiled-trace memo is the seed entry).
+    #: (the engine's per-worker compiled-trace memo and its
+    #: trace-preparation counters).
     worker_state_allow: Tuple[str, ...] = (
-        "repro.engine.tasks._CTRACE_MEMO",)
+        "repro.engine.tasks._CTRACE_MEMO",
+        "repro.engine.tasks._TRACE_STATS")
     #: Rule ids disabled globally.
     disable: Tuple[str, ...] = ()
     #: Directory containing pyproject.toml (None when none was found).
@@ -87,9 +92,9 @@ def _as_tuple(value: object, fallback: Tuple[str, ...]) -> Tuple[str, ...]:
 def load_config(start: Path) -> LintConfig:
     """Build a :class:`LintConfig` for a lint run anchored at ``start``.
 
-    Reads ``[tool.simlint]`` from the nearest ``pyproject.toml`` when the
-    interpreter ships ``tomllib``; otherwise (or when the section is
-    absent) the shipped defaults apply.
+    Reads ``[tool.simlint]`` from the nearest ``pyproject.toml`` when
+    ``tomllib`` (or ``tomli``) is importable; otherwise (or when the
+    section is absent) the shipped defaults apply.
     """
     root = find_project_root(Path(start))
     config = LintConfig(project_root=root)

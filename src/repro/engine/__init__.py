@@ -24,8 +24,8 @@ See ``docs/engine.md`` for the cache layout and invalidation rules.
 from .cache import (  # noqa: F401
     CACHE_MODES,
     TaskCache,
+    clear_caches,
     clear_disk,
-    clear_memory,
     default_cache_dir,
 )
 from .results import (  # noqa: F401
@@ -36,7 +36,6 @@ from .results import (  # noqa: F401
 from .runner import (  # noqa: F401
     EngineStats,
     PopulationEngine,
-    clear_caches,
     execute_population,
     run,
     run_population,
@@ -45,7 +44,6 @@ from .tasks import (  # noqa: F401
     ENGINE_SCHEMA_VERSION,
     execute_task,
     execute_task_heartbeat,
-    execute_task_timed,
     ghist_task,
     pipetrace_task,
     population_task,

@@ -1,7 +1,8 @@
 """On-disk + in-memory result cache for engine tasks.
 
-Every engine task (one ``(generation config, trace spec)`` simulation, or
-one Figure 1 predictor measurement) is memoized under a stable fingerprint
+Every engine task (one ``(generation config, trace spec)`` simulation,
+one warmup-prefix checkpoint, or one Figure 1 predictor measurement) is
+memoized under a stable fingerprint
 of its full payload plus the model version (see
 :func:`repro.engine.tasks.task_fingerprint`).  The cache has three modes:
 
@@ -54,8 +55,11 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro").expanduser()
 
 
-def clear_memory() -> None:
-    """Drop the process-wide memory tier (tests; long-lived sessions)."""
+def clear_caches() -> None:
+    """Drop all in-memory engine results: the process-wide memory tier,
+    which holds result rows and warmup checkpoints alike (tests;
+    long-lived sessions).  The disk tier is untouched; see
+    :func:`clear_disk`."""
     _MEMORY.clear()
 
 

@@ -30,11 +30,11 @@ from ..observe.telemetry import (TelemetryConfig, TelemetryMonitor,
 from ..traces.spec import TraceLike, TraceSpec, coerce_spec
 from ..traces.types import Trace
 from ..traces.workloads import standard_suite_specs
-from .cache import TaskCache, clear_memory
+from .cache import TaskCache, clear_caches  # noqa: F401  (re-export)
 from .results import PopulationResult, SliceMetrics
-from .tasks import (_build_compiled, execute_task_heartbeat,
+from .tasks import (_build_compiled, execute_task, execute_task_heartbeat,
                     population_task, task_fingerprint, task_instructions,
-                    task_label, warmup_checkpoint, warmup_task)
+                    task_label, warmup_task)
 
 ProgressFn = Callable[[int, int], None]
 
@@ -272,13 +272,10 @@ class PopulationEngine:
         every cache-missing payload.  Seconds and pid are measured inside
         the process that ran the task (worker-side under the pool) — the
         telemetry heartbeat riding the result channel; trace_stats is the
-        task's trace-preparation counter delta (``None`` from legacy
-        3-tuple heartbeats, e.g. tests monkeypatching the heartbeat)."""
+        task's trace-preparation counter delta."""
         if self.workers <= 1 or len(missing) <= 1:
             for i in missing:
-                out = execute_task_heartbeat(payloads[i])
-                yield (i, out[0], out[1], out[2],
-                       out[3] if len(out) > 3 else None)
+                yield (i, *execute_task_heartbeat(payloads[i]))
             return
         n_workers = min(self.workers, len(missing))
         # Contiguous chunks keep same-trace tasks on the same worker so
@@ -290,8 +287,7 @@ class PopulationEngine:
                     missing,
                     pool.map(execute_task_heartbeat, ordered,
                              chunksize=chunksize)):
-                yield (i, out[0], out[1], out[2],
-                       out[3] if len(out) > 3 else None)
+                yield (i, *out)
 
     def _report(self, done: int, total: int) -> None:
         if self.progress is not None:
@@ -301,23 +297,6 @@ class PopulationEngine:
 # ---------------------------------------------------------------------------
 # Population runs
 # ---------------------------------------------------------------------------
-
-#: Memoized whole-population results, keyed by run parameters — the
-#: successor of the old ``harness.population._CACHE`` module global.
-#: Lets several benches share one ``PopulationResult`` *object* within a
-#: process, on top of the per-task result cache.
-_PopulationKey = Tuple[int, int, int, Tuple[str, ...], int,
-                       Optional[Tuple[str, ...]], int]
-_POPULATION_MEMO: Dict[_PopulationKey, PopulationResult] = {}
-
-
-def clear_caches() -> None:
-    """Drop all in-memory engine state (population memo + task memory
-    tier).  The disk tier is untouched; see
-    :func:`repro.engine.cache.clear_disk`."""
-    _POPULATION_MEMO.clear()
-    clear_memory()
-
 
 def _ledger_population(result: PopulationResult, stats: EngineStats,
                        payloads: Sequence[Dict[str, Any]],
@@ -380,46 +359,6 @@ def execute_population(
     counters = (tuple(window_counters)
                 if window_counters is not None else None)
     warmup = int(warmup)
-    memo_key = (n_slices, slice_length, seed, gens, window_interval,
-                counters, warmup)
-
-    def _ledger_params() -> Dict[str, Any]:
-        return {
-            "n_slices": n_slices,
-            "slice_length": slice_length,
-            "seed": seed,
-            "generations": list(gens),
-            "window_interval": window_interval,
-            "window_counters": list(counters) if counters else None,
-            "warmup": warmup,
-        }
-
-    if cache != "off":
-        memoized = _POPULATION_MEMO.get(memo_key)
-        if memoized is not None:
-            stats = EngineStats(
-                tasks_total=n_slices * len(gens),
-                cache_hits=n_slices * len(gens),
-                executed=0,
-                wall_seconds=0.0,
-                workers=_resolve_workers(workers),
-                cache_mode=cache,
-                kind_stats={"population": {
-                    "hits": n_slices * len(gens), "executed": 0}},
-            )
-            if ledger_enabled(ledger):
-                payloads = [population_task(config, spec,
-                                            window_interval=window_interval,
-                                            window_counters=counters,
-                                            warmup=warmup)
-                            for spec in standard_suite_specs(
-                                n_slices=n_slices,
-                                slice_length=slice_length, seed=seed)
-                            for config in configs]
-                _ledger_population(memoized, stats, payloads, configs,
-                                   _ledger_params(), cache_dir)
-            return memoized, stats
-
     specs = standard_suite_specs(n_slices=n_slices,
                                  slice_length=slice_length, seed=seed)
     engine = PopulationEngine(workers=workers, cache=cache,
@@ -457,11 +396,18 @@ def execute_population(
         for s in range(len(specs)):
             result.metrics.append(
                 SliceMetrics.from_dict(rows[s * n_gens + g]))
-    if cache != "off":
-        _POPULATION_MEMO[memo_key] = result
     if ledger_enabled(ledger):
-        _ledger_population(result, stats, payloads, configs,
-                           _ledger_params(), cache_dir)
+        params = {
+            "n_slices": n_slices,
+            "slice_length": slice_length,
+            "seed": seed,
+            "generations": list(gens),
+            "window_interval": window_interval,
+            "window_counters": list(counters) if counters else None,
+            "warmup": warmup,
+        }
+        _ledger_population(result, stats, payloads, configs, params,
+                           cache_dir)
     return result, stats
 
 
@@ -521,11 +467,12 @@ def run(trace_or_spec: TraceLike,
     full :class:`~repro.core.simulator.SimulationResult`.
 
     ``warmup=N`` simulates the first N instructions once per (config,
-    trace, N) — the checkpoint is memoized in-process, so repeated
-    ``run`` calls over the same prefix restore instead of re-simulating
-    — and resumes the measure phase from the snapshot.  Results are
-    bit-identical to ``warmup=0``.  The memo needs a regenerable spec:
-    a materialized ``Trace`` falls back to one uninterrupted run.
+    trace, N) — the checkpoint is kept in the task cache's memory tier,
+    so repeated ``run`` calls over the same prefix restore instead of
+    re-simulating — and resumes the measure phase from the snapshot.
+    Results are bit-identical to ``warmup=0``.  Reuse needs a
+    regenerable spec: a materialized ``Trace`` falls back to one
+    uninterrupted run.
 
     ``trace_to`` turns pipeline event tracing on (the public API —
     hand-wiring a sink into ``GenerationSimulator`` is the deprecated
@@ -557,9 +504,17 @@ def run(trace_or_spec: TraceLike,
 
     warm_state = None
     if warmup and spec is not None:
-        warm_state = warmup_checkpoint(
-            warmup_task(config, spec, corunners=corunners,
-                        warmup=int(warmup)))
+        # The checkpoint lives in the task cache's memory tier under its
+        # warmup-task fingerprint — the same entry a default-window
+        # ``execute_population(warmup=N)`` writes.
+        warm_task = warmup_task(config, spec, corunners=corunners,
+                                warmup=int(warmup))
+        fp = task_fingerprint(warm_task)
+        memory = TaskCache("memory")
+        warm_state = memory.get(fp)
+        if warm_state is None:
+            warm_state = execute_task(warm_task)
+            memory.put(fp, warm_state)
         trace = trace.slice(int(warmup))
 
     def build_and_run(sink=None):

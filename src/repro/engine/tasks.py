@@ -64,10 +64,12 @@ def population_task(config: GenerationConfig, spec: TraceSpec,
                     window_counters: Optional[Sequence[str]] = None,
                     warmup: int = 0,
                     ) -> Dict[str, Any]:
-    """One full-simulator run; ``warmup`` > 0 splits it into a cached
-    warmup-prefix checkpoint (see :func:`warmup_task`) plus a measure
-    phase resumed from that snapshot.  Results are bit-identical either
-    way — warmup only changes how the work is scheduled and cached.
+    """One full-simulator run.  With ``warmup`` > 0 the engine splits it
+    into a cached warmup-prefix checkpoint (see :func:`warmup_task`) plus
+    a measure phase resumed from that snapshot, shipped as the
+    transport-only ``_warmup_state`` field; a payload without the field
+    runs its whole trace.  Results are bit-identical either way — warmup
+    only changes how the work is scheduled and cached.
     """
     if not 0 <= warmup < spec.n_instructions:
         raise ValueError(
@@ -162,18 +164,6 @@ def task_fingerprint(payload: Dict[str, Any]) -> str:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Environment switch for the on-disk compiled-trace store (default on;
-#: the test suite defaults it off via ``tests/conftest.py`` so plain
-#: test runs never write to the developer's real cache root).
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-_STORE_DISABLE_VALUES = ("0", "off", "no", "false")
-
-
-def trace_store_enabled() -> bool:
-    value = os.environ.get(TRACE_STORE_ENV, "").strip().lower()
-    return value not in _STORE_DISABLE_VALUES
-
-
 #: Worker-side trace-preparation accounting.  A fork-local counter dict
 #: (sanctioned by simlint SIM012's ``worker_state_allow``): per-task
 #: *deltas* ride the heartbeat channel back to the host (see
@@ -214,18 +204,16 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
         _CTRACE_MEMO.move_to_end(key)
         _TRACE_STATS["memo_hits"] += 1
         return compiled
-    store = CompiledTraceStore() if trace_store_enabled() else None
-    fp = compiled_fingerprint(*key) if store is not None else None
-    if store is not None:
-        compiled = store.get(fp)
-        if compiled is not None and (len(compiled) != spec.n_instructions
-                                     or compiled.family != spec.family):
-            compiled = None  # fingerprint collision / foreign entry
-        if compiled is not None:
-            _TRACE_STATS["store_hits"] += 1
-        else:
-            _TRACE_STATS["store_misses"] += 1
-    if compiled is None:
+    store = CompiledTraceStore()
+    fp = compiled_fingerprint(*key)
+    compiled = store.get(fp)
+    if compiled is not None and (len(compiled) != spec.n_instructions
+                                 or compiled.family != spec.family):
+        compiled = None  # fingerprint collision / foreign entry
+    if compiled is not None:
+        _TRACE_STATS["store_hits"] += 1
+    else:
+        _TRACE_STATS["store_misses"] += 1
         t0 = time.perf_counter()
         trace = spec.build()
         _TRACE_STATS["generate_seconds"] += time.perf_counter() - t0
@@ -234,33 +222,11 @@ def _build_compiled(spec_dict: Dict[str, Any]) -> CompiledTrace:
         compiled = compile_trace(trace)
         _TRACE_STATS["compile_seconds"] += time.perf_counter() - t0
         _TRACE_STATS["compiled"] += 1
-        if store is not None:
-            store.put(fp, compiled)
+        store.put(fp, compiled)
     _CTRACE_MEMO[key] = compiled
     while len(_CTRACE_MEMO) > _CTRACE_MEMO_CAP:
         _CTRACE_MEMO.popitem(last=False)
     return compiled
-
-
-#: Per-process memo of warmup checkpoints, keyed by warmup-task
-#: fingerprint.  Serial runs and chunk-mates on one worker reuse the
-#: snapshot without re-simulating (or re-reading the result cache).
-_WARMUP_MEMO: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-_WARMUP_MEMO_CAP = 16
-
-
-def warmup_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The checkpoint for a warmup-task payload, via the process memo."""
-    fp = task_fingerprint(payload)
-    doc = _WARMUP_MEMO.get(fp)
-    if doc is None:
-        doc = _run_warmup_task(payload)
-        _WARMUP_MEMO[fp] = doc
-        while len(_WARMUP_MEMO) > _WARMUP_MEMO_CAP:
-            _WARMUP_MEMO.popitem(last=False)
-    else:
-        _WARMUP_MEMO.move_to_end(fp)
-    return doc
 
 
 def _run_warmup_task(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -287,15 +253,12 @@ def _run_population_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0))
     counters = payload.get("window_counters")
     warmup = int(payload.get("warmup", 0) or 0)
-    if warmup > 0:
-        # Resume the measure phase from the warmup-prefix snapshot; the
-        # engine ships it as a transport field when it already has it,
-        # otherwise the per-process memo builds (or reuses) it here.
-        state = payload.get("_warmup_state")
-        if state is None:
-            state = warmup_checkpoint(
-                {**{k: v for k, v in payload.items()
-                    if not k.startswith("_")}, "kind": "warmup"})
+    state = payload.get("_warmup_state")
+    if warmup > 0 and state is not None:
+        # Resume the measure phase from the warmup-prefix snapshot the
+        # engine shipped as a transport field.  Without one the whole
+        # trace runs uninterrupted — bit-identical by the warmup
+        # contract, and no checkpoint is kept in this process.
         sim.restore(state)
         trace = trace.slice(warmup)
     r = sim.run(trace,
@@ -409,24 +372,11 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return runner(payload)
 
 
-def execute_task_timed(payload: Dict[str, Any]
-                       ) -> Tuple[Dict[str, Any], float]:
-    """Like :func:`execute_task`, also returning the task's wall seconds.
-
-    The timing travels *next to* the result, never inside it, so cached
-    result payloads stay bit-identical run to run.  Host-side profiling
-    only — simulated timing comes exclusively from the payload.
-    """
-    t0 = time.perf_counter()
-    result = execute_task(payload)
-    return result, time.perf_counter() - t0
-
-
 def execute_task_heartbeat(payload: Dict[str, Any]
                            ) -> Tuple[Dict[str, Any], float, int,
                                       Dict[str, float]]:
-    """Like :func:`execute_task_timed`, plus the executing pid and this
-    task's trace-preparation stats delta.
+    """:func:`execute_task` plus the task's wall seconds, the executing
+    pid and this task's trace-preparation stats delta.
 
     The ``(seconds, pid)`` pair is the worker-side half of an engine
     telemetry heartbeat (:mod:`repro.observe.telemetry`): it rides the
@@ -434,12 +384,14 @@ def execute_task_heartbeat(payload: Dict[str, Any]
     and task context.  The fourth element is the delta of
     :data:`_TRACE_STATS` across the task (only changed keys) — the
     host folds it into ``EngineStats.trace_stats``/``phase_breakdown``.
-    Everything travels *beside* the result — cached payloads never
-    carry any of it.  (The engine tolerates 3-tuples from monkeypatched
-    heartbeats; the delta is simply absent then.)
+    Everything travels *beside* the result, so cached result payloads
+    stay bit-identical run to run.  Host-side profiling only —
+    simulated timing comes exclusively from the payload.
     """
     before = trace_stats_snapshot()
-    result, seconds = execute_task_timed(payload)
+    t0 = time.perf_counter()
+    result = execute_task(payload)
+    seconds = time.perf_counter() - t0
     after = trace_stats_snapshot()
     delta = {k: after[k] - before.get(k, 0)
              for k in after if after[k] != before.get(k, 0)}

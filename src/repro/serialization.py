@@ -3,10 +3,8 @@
 Lets external tools consume the Table I data, lets design-exploration
 scripts persist hypothetical configurations (see
 ``examples/design_exploration.py``), and gives the execution engine its
-wire/cache formats: worker payloads ship configs via
-:func:`config_to_dict`, and the disk cache stores
-:class:`~repro.engine.results.SliceMetrics` rows via
-:func:`metrics_to_dict` / :func:`metrics_from_dict`.
+wire format: worker payloads ship configs via :func:`config_to_dict`.
+Whole populations archive through :func:`population_to_json`.
 """
 
 from __future__ import annotations
@@ -77,26 +75,8 @@ def config_from_json(text: str) -> GenerationConfig:
 
 
 # ---------------------------------------------------------------------------
-# Population results (the engine's cache payload format)
+# Population results (the archive format)
 # ---------------------------------------------------------------------------
-
-def metrics_to_dict(metrics: "Any") -> Dict[str, Any]:
-    """One :class:`~repro.engine.results.SliceMetrics` row as a plain
-    dict (JSON-safe; schema-versioned, windows included)."""
-    return metrics.to_dict()
-
-
-def metrics_from_dict(data: Dict[str, Any]) -> "Any":
-    """Rebuild a :class:`~repro.engine.results.SliceMetrics` row.
-
-    Accepts current-schema rows and schema-1 (pre-window) rows; raises
-    ``ValueError`` on rows from a newer schema and ``TypeError`` on
-    unknown/missing fields.
-    """
-    from .engine.results import SliceMetrics
-
-    return SliceMetrics.from_dict(data)
-
 
 def population_to_dict(population: "Any") -> Dict[str, Any]:
     """A whole :class:`~repro.engine.results.PopulationResult` as plain
@@ -105,13 +85,13 @@ def population_to_dict(population: "Any") -> Dict[str, Any]:
 
     return {
         "schema": RESULT_SCHEMA_VERSION,
-        "metrics": [metrics_to_dict(m) for m in population.metrics],
+        "metrics": [m.to_dict() for m in population.metrics],
     }
 
 
 def population_from_dict(data: Dict[str, Any]) -> "Any":
     from .engine.results import (READABLE_SCHEMAS, RESULT_SCHEMA_VERSION,
-                                 PopulationResult)
+                                 PopulationResult, SliceMetrics)
 
     schema = data.get("schema", 1)
     if schema not in READABLE_SCHEMAS:
@@ -119,7 +99,7 @@ def population_from_dict(data: Dict[str, Any]) -> "Any":
             f"unsupported population schema {schema!r} "
             f"(this build reads <= {RESULT_SCHEMA_VERSION})")
     return PopulationResult(
-        metrics=[metrics_from_dict(m) for m in data["metrics"]])
+        metrics=[SliceMetrics.from_dict(m) for m in data["metrics"]])
 
 
 def population_to_json(population: "Any",

@@ -133,15 +133,3 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """Read and schema-check a checkpoint file."""
     with open(os.fspath(path), "r", encoding="utf-8") as f:
         return validate_checkpoint(json.load(f))
-
-
-def roundtrip(state: Dict[str, Any]) -> Dict[str, Any]:
-    """``state`` pushed through JSON and back.
-
-    Components feed their ``state_dict()`` output through this before
-    ``load_state_dict`` in tests, so any non-JSON-safe value (a tuple
-    that must survive as a tuple, an int key, a raw object) fails
-    loudly at the component that produced it rather than at engine
-    fan-out time.
-    """
-    return json.loads(json.dumps(state, sort_keys=True))

@@ -6,13 +6,24 @@ root — every engine call here would otherwise log itself.  Tests that
 exercise the ledger opt back in explicitly (``ledger=True`` or a
 monkeypatched ``REPRO_LEDGER``) against a tmp cache dir.
 
-Likewise the compiled-trace store: on by default for real usage, off
-here so tests never write binary blobs into the developer's cache root.
-Store tests opt back in with a monkeypatched ``REPRO_TRACE_STORE`` and
-``REPRO_CACHE_DIR`` pointed at a tmp dir.
+The cache root itself is *assigned* (not defaulted) to a session temp
+dir that is removed when the session ends, so the suite exercises the
+compiled-trace store exactly as users run it and still never writes to
+the developer's real cache root.  Tests that need their own root
+monkeypatch ``REPRO_CACHE_DIR`` or pass ``cache_dir=`` explicitly.
 """
 
 import os
+import shutil
+import tempfile
 
 os.environ.setdefault("REPRO_LEDGER", "off")
-os.environ.setdefault("REPRO_TRACE_STORE", "off")
+
+
+def pytest_configure(config):
+    config.repro_cache_root = tempfile.mkdtemp(prefix="repro-test-cache-")
+    os.environ["REPRO_CACHE_DIR"] = config.repro_cache_root
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.repro_cache_root, ignore_errors=True)

@@ -12,6 +12,7 @@ from repro.core import GenerationSimulator
 from repro.engine import (
     EngineStats,
     PopulationEngine,
+    SliceMetrics,
     TaskCache,
     clear_caches,
     execute_population,
@@ -22,8 +23,6 @@ from repro.engine import (
 )
 from repro.serialization import (
     config_fingerprint,
-    metrics_from_dict,
-    metrics_to_dict,
     population_from_json,
     population_to_json,
 )
@@ -128,12 +127,15 @@ def test_run_accepts_trace_config_and_corunners():
 # Cache tiers
 # ---------------------------------------------------------------------------
 
-def test_memory_cache_returns_same_object():
+def test_memory_cache_serves_repeat_run_without_simulating():
     kwargs = dict(n_slices=2, slice_length=1000, seed=3,
                   generations=("M1",))
-    first = run_population(cache="memory", **kwargs)
-    again = run_population(cache="memory", **kwargs)
-    assert again is first
+    first, first_stats = execute_population(cache="memory", **kwargs)
+    again, stats = execute_population(cache="memory", **kwargs)
+    assert first_stats.executed == 2
+    assert stats.executed == 0
+    assert stats.cache_hits == stats.tasks_total == 2
+    assert again.metrics == first.metrics
 
 
 def test_cache_off_recomputes_fresh_objects():
@@ -247,7 +249,7 @@ def test_population_json_roundtrip():
     back = population_from_json(population_to_json(pop))
     assert back.metrics == pop.metrics
     one = pop.metrics[0]
-    assert metrics_from_dict(metrics_to_dict(one)) == one
+    assert SliceMetrics.from_dict(one.to_dict()) == one
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,6 @@ def test_load_bytes_rejects_corruption(mutate):
 # Compiled-trace store: disk reuse and regeneration fallback
 # ---------------------------------------------------------------------------
 
-def _store_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_STORE", "on")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-
 def test_store_round_trip_and_hit_counters(tmp_path):
     store = CompiledTraceStore(tmp_path)
     compiled = compile_trace(make_trace("specint_like", seed=2,
@@ -166,7 +161,7 @@ def test_store_round_trip_and_hit_counters(tmp_path):
 
 def test_build_compiled_regenerates_over_corrupt_store(monkeypatch,
                                                        tmp_path):
-    _store_env(monkeypatch, tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     spec = TraceSpec(family="specint_like", seed=21, n_instructions=1200)
     _CTRACE_MEMO.clear()
     first = _build_compiled(spec.to_dict())
@@ -185,7 +180,7 @@ def test_build_compiled_regenerates_over_corrupt_store(monkeypatch,
 
 
 def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
-    _store_env(monkeypatch, tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     spec = TraceSpec(family="pointer_chase", seed=8, n_instructions=1000)
     _CTRACE_MEMO.clear()
     first = _build_compiled(spec.to_dict())

@@ -31,8 +31,11 @@ def test_population_covers_all_generations(tiny_population):
 
 
 def test_population_cached(tiny_population):
-    again = run_population(n_slices=10, slice_length=6000, seed=7)
-    assert again is tiny_population
+    from repro.engine import execute_population
+    again, stats = execute_population(n_slices=10, slice_length=6000,
+                                      seed=7)
+    assert stats.executed == 0  # served entirely from the memory tier
+    assert again.metrics == tiny_population.metrics
 
 
 def test_population_series_sorted(tiny_population):

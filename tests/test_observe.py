@@ -324,7 +324,7 @@ def test_kind_hit_rates_all_cached_on_rerun(tmp_path):
     from repro.engine import clear_caches
     clear_caches()  # cold start: earlier tests share these fingerprints
     execute_population(**kwargs)
-    clear_caches()  # drop the population memo: rerun hits the disk tier
+    clear_caches()  # drop the memory tier: rerun hits the disk tier
     _result, warm = execute_population(**kwargs)
     assert warm.kind_stats["population"] == {"hits": 2, "executed": 0}
     assert warm.kind_stats["warmup"] == {"hits": 2, "executed": 0}
@@ -360,13 +360,14 @@ def test_window_counters_never_perturb_timing():
     assert repr(base.ipc) == repr(custom.ipc)
 
 
-def test_window_counters_split_population_memo():
+def test_window_counters_split_task_cache_entries():
     kwargs = dict(n_slices=1, slice_length=1500, seed=17,
                   generations=("M1",), cache="memory")
     default_pop, _ = execute_population(**kwargs)
-    custom_pop, _ = execute_population(
+    custom_pop, custom_stats = execute_population(
         window_counters=("core.instructions", "core.cycles"), **kwargs)
-    assert default_pop is not custom_pop
+    # A different counter set is a different fingerprint: no memory hit.
+    assert custom_stats.executed == 1 and custom_stats.cache_hits == 0
     dw = default_pop.metrics[0].windows[0]
     cw = custom_pop.metrics[0].windows[0]
     assert set(cw.values) == {"core.instructions", "core.cycles"}

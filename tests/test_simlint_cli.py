@@ -9,6 +9,7 @@ committed (empty) baseline.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis import run_lint
-from repro.analysis.config import load_config
+from repro.analysis import config as lint_config
+from repro.analysis.config import LintConfig, load_config
 from repro.analysis.registry import all_rules, get_rule
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
@@ -186,6 +188,21 @@ def test_shipped_src_has_zero_non_baselined_findings():
     assert result.new_findings == [], \
         [f"{f.location()} {f.rule} {f.message}" for f in result.new_findings]
     assert result.ok
+
+
+@pytest.mark.skipif(lint_config.tomllib is None,
+                    reason="no TOML parser: defaults are all there is")
+def test_lint_config_defaults_equal_shipped_section():
+    # Interpreters without a TOML parser lint with the LintConfig
+    # defaults, so they must say exactly what [tool.simlint] says.
+    shipped = load_config(SRC_ROOT)
+    assert shipped.project_root is not None
+    defaults = LintConfig()
+    for field in dataclasses.fields(LintConfig):
+        if field.name == "project_root":
+            continue
+        assert getattr(defaults, field.name) == \
+            getattr(shipped, field.name), field.name
 
 
 @pytest.mark.skipif(not SRC_ROOT.is_dir(), reason="source tree not present")

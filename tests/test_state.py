@@ -8,7 +8,7 @@ The contracts under test (docs/checkpoint.md):
   simulator is *bit-identical* to an uninterrupted run — stats, window
   series, and the flight-recorder event stream;
 - one checkpoint document can be restored any number of times (the
-  engine's warmup memo hands the same document to many restores);
+  task cache's memory tier hands the same document to many restores);
 - ``repro.run(..., warmup=N)`` and ``run_population(..., warmup=N)``
   only reschedule work — results never change, serial or sharded.
 """
@@ -20,15 +20,15 @@ import json
 import pytest
 
 import repro
-from repro.config import GENERATION_ORDER
+from repro.config import GENERATION_ORDER, get_generation
 from repro.core import GenerationSimulator
-from repro.engine import execute_population
+from repro.engine import execute_population, execute_task, population_task
 from repro.engine.runner import clear_caches
 from repro.observe.events import events_to_jsonl
 from repro.observe.sink import TraceSink
 from repro.state import (CHECKPOINT_SCHEMA_VERSION, checkpoint_to_json,
                          validate_checkpoint)
-from repro.traces import TraceSpec
+from repro.traces import TraceSpec, standard_suite_specs
 
 
 def _trace(family="specint_like", seed=7, n=6000):
@@ -127,16 +127,54 @@ def test_one_checkpoint_restores_many_times():
 # Warmup-snapshot reuse through the engine
 # ---------------------------------------------------------------------------
 
-def test_run_warmup_is_bit_identical_and_memoized():
+def _count_sim_runs(monkeypatch):
+    calls = {"n": 0}
+    orig = GenerationSimulator.run
+
+    def counting_run(self, trace, **kwargs):
+        calls["n"] += 1
+        return orig(self, trace, **kwargs)
+
+    monkeypatch.setattr(GenerationSimulator, "run", counting_run)
+    return calls
+
+
+def test_run_warmup_is_bit_identical_and_memoized(monkeypatch):
+    clear_caches()
     spec = ("loop_kernel", 5, 5000)
     base = repro.run(spec, "M5")
+    calls = _count_sim_runs(monkeypatch)
     warm1 = repro.run(spec, "M5", warmup=2000)
-    warm2 = repro.run(spec, "M5", warmup=2000)  # memo hit
+    assert calls["n"] == 2  # warmup prefix + measure suffix
+    warm2 = repro.run(spec, "M5", warmup=2000)
+    assert calls["n"] == 3  # checkpoint served from memory: suffix only
     for warm in (warm1, warm2):
         assert warm.core.cycles == base.core.cycles
         assert warm.metrics.as_dict() == base.metrics.as_dict()
         assert [w.to_dict() for w in warm.windows] == \
             [w.to_dict() for w in base.windows]
+
+
+def test_run_warmup_reuses_population_checkpoint(monkeypatch):
+    clear_caches()
+    kwargs = dict(n_slices=1, slice_length=4000, seed=6)
+    execute_population(generations=("M3",), cache="memory", warmup=1500,
+                       **kwargs)
+    spec = standard_suite_specs(**kwargs)[0]
+    calls = _count_sim_runs(monkeypatch)
+    warm = repro.run(spec, "M3", warmup=1500)
+    assert calls["n"] == 1  # the population's checkpoint: no prefix run
+    assert warm.metrics.as_dict() == repro.run(spec, "M3").metrics.as_dict()
+
+
+def test_population_task_without_checkpoint_runs_whole_trace(monkeypatch):
+    config = get_generation("M4")
+    spec = TraceSpec(family="pointer_chase", seed=8, n_instructions=4000)
+    plain = execute_task(population_task(config, spec))
+    calls = _count_sim_runs(monkeypatch)
+    warm = execute_task(population_task(config, spec, warmup=1500))
+    assert calls["n"] == 1  # one uninterrupted run, no warmup prefix
+    assert warm == plain
 
 
 def test_population_warmup_matches_serial_and_workers():
@@ -155,7 +193,7 @@ def test_population_warmup_matches_serial_and_workers():
     assert warm_stats.tasks_total == 12
 
 
-def test_population_warmup_checkpoints_persist_in_disk_cache(tmp_path):
+def test_population_warmup_snapshots_persist_in_disk_cache(tmp_path):
     clear_caches()
     kwargs = dict(n_slices=2, slice_length=4000, seed=4,
                   generations=("M5",), cache="disk", cache_dir=tmp_path)

@@ -199,7 +199,7 @@ def _slow_heartbeat(payload):
     t0 = time.perf_counter()
     result = execute_task(payload)
     import os as _os
-    return result, time.perf_counter() - t0, _os.getpid()
+    return result, time.perf_counter() - t0, _os.getpid(), {}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
