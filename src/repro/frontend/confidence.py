@@ -9,7 +9,12 @@ while its counter sits below a threshold.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from .history import pc_hash
+
+#: Index memo size bound; hitting it clears the memo.
+_MEMO_CAP = 1 << 16
 
 
 class ConfidenceEstimator:
@@ -24,9 +29,18 @@ class ConfidenceEstimator:
         self.threshold = threshold
         self.ceiling = ceiling
         self.counters = [0] * entries
+        #: Per-PC memo of the pure ``pc_hash`` index (a derivable cache,
+        #: not part of ``state_dict``).
+        self._index_memo: Dict[int, int] = {}
 
     def _index(self, pc: int) -> int:
-        return pc_hash(pc, self.index_bits, salt=0x3C)
+        i = self._index_memo.get(pc)
+        if i is None:
+            if len(self._index_memo) > _MEMO_CAP:
+                self._index_memo.clear()
+            i = self._index_memo[pc] = pc_hash(pc, self.index_bits,
+                                               salt=0x3C)
+        return i
 
     def is_low_confidence(self, pc: int) -> bool:
         return self.counters[self._index(pc)] < self.threshold
@@ -34,7 +48,8 @@ class ConfidenceEstimator:
     def record(self, pc: int, correct: bool) -> None:
         i = self._index(pc)
         if correct:
-            self.counters[i] = min(self.ceiling, self.counters[i] + 1)
+            c = self.counters[i] + 1
+            self.counters[i] = c if c <= self.ceiling else self.ceiling
         else:
             self.counters[i] = 0
 

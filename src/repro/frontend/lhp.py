@@ -10,9 +10,11 @@ kernels.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Tuple
 
-from .history import fold_bits, geometric_intervals, pc_hash
+from .history import geometric_intervals, pc_hash
+from .shp import pc_hash_lanes
 
 _WEIGHT_MAX = 31
 _WEIGHT_MIN = -31
@@ -39,76 +41,89 @@ class LocalHashedPerceptron:
         # Per-branch local history, hash-indexed with bounded capacity.
         self._local: Dict[int, int] = {}
         self.theta = int(1.93 * n_tables + 4)
-        #: Memo layer over the pure hashes: ``_history_slot`` and
-        #: ``_indices`` are pure functions of their keys, and the
-        #: predict/update flow recomputes the same ``(pc, lhist)`` pair
-        #: two to three times per branch.  Derivable caches — excluded
-        #: from ``state_dict``.
-        self._slot_memo: Dict[int, int] = {}
-        self._pc_memo: Dict[int, Tuple[int, ...]] = {}
-        self._index_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._local_mask = (1 << local_bits) - 1
+        self._slot_bits = history_entries.bit_length() - 1
+        # Lane-parallel indexing, as in the SHP: table t's index is
+        # computed in bits [t*lane, (t+1)*lane) of one int.  A lane holds
+        # the whole local history plus room for the fold shifts to
+        # carry the next lane's bits only above the index bits.
+        assert all(lo == 0 for lo, _ in self.intervals)
+        lane = 64 * -(-(local_bits + self.index_bits) // 64)
+        self._ones = sum(1 << (lane * t) for t in range(n_tables))
+        self._seg_masks = sum(((1 << hi) - 1) << (lane * t)
+                              for t, (_, hi) in enumerate(self.intervals))
+        step = max(1, self.index_bits)  # rows == 1 masks every index to 0
+        self._folds = tuple(range(step, local_bits, step))
+        self._pc_folds = tuple(range(step, 32, step))
+        self._pc_salts = sum(((t + 3) * 0x2B) << (lane * t)
+                             for t in range(n_tables))
+        self._index_mask = (rows - 1) * self._ones
+        self._lane_words = lane // 64
+        self._lane_bytes = lane // 8 * n_tables
+        self._unpack = struct.Struct(
+            f"<{n_tables * self._lane_words}Q").unpack
+        #: Per-PC memo of the pure ``pc_hash`` values: the history slot
+        #: and the per-table index salts (as lanes).  A derivable cache —
+        #: excluded from ``state_dict``.
+        self._pc_memo: Dict[int, Tuple[int, int]] = {}
 
-    def _history_slot(self, pc: int) -> int:
-        slot = self._slot_memo.get(pc)
-        if slot is None:
-            if len(self._slot_memo) > _MEMO_CAP:
-                self._slot_memo.clear()
-            slot = self._slot_memo[pc] = pc_hash(
-                pc, self.history_entries.bit_length() - 1, salt=0x77)
-        return slot
-
-    def _indices(self, pc: int, lhist: int) -> Tuple[int, ...]:
-        """Per-table row indices: each table folds its local-history
-        interval and XORs a salted ``pc_hash``, masked to the row count.
-        Computed once per distinct ``(pc, lhist)``; the computation is
-        the memo's miss path."""
-        key = (pc, lhist)
-        idx = self._index_memo.get(key)
-        if idx is not None:
-            return idx
-        bits = self.index_bits
-        ps = self._pc_memo.get(pc)
-        if ps is None:
-            ps = tuple(pc_hash(pc, bits, salt=(t + 3) * 0x2B)
-                       for t in range(self.n_tables))
+    def _pc_entry(self, pc: int) -> Tuple[int, int]:
+        """(history slot, per-table ``pc_hash`` lanes) of ``pc``."""
+        entry = self._pc_memo.get(pc)
+        if entry is None:
+            entry = (pc_hash(pc, self._slot_bits, salt=0x77),
+                     pc_hash_lanes(pc, self._ones, self._pc_salts,
+                                   self._pc_folds, self._index_mask))
             if len(self._pc_memo) > _MEMO_CAP:
                 self._pc_memo.clear()
-            self._pc_memo[pc] = ps
-        out = []
-        mask = self.rows - 1
-        for t in range(self.n_tables):
-            lo, hi = self.intervals[t]
-            seg = (lhist >> lo) & ((1 << (hi - lo)) - 1)
-            h = fold_bits(seg, hi - lo, bits)
-            out.append((h ^ ps[t]) & mask)
-        idx = tuple(out)
-        if len(self._index_memo) > _MEMO_CAP:
-            self._index_memo.clear()
-        self._index_memo[key] = idx
-        return idx
+            self._pc_memo[pc] = entry
+        return entry
+
+    def _history_slot(self, pc: int) -> int:
+        return self._pc_entry(pc)[0]
+
+    def _lane_indices(self, pc_lanes: int, lhist: int) -> Tuple[int, ...]:
+        """Per-table row indices: each table folds its local-history
+        segment (``fold_bits``) and XORs its ``pc_hash`` — every table
+        at once, one lane each."""
+        seg = (lhist * self._ones) & self._seg_masks
+        folded = seg
+        for shift in self._folds:
+            folded ^= seg >> shift
+        lanes = (folded ^ pc_lanes) & self._index_mask
+        return self._unpack(
+            lanes.to_bytes(self._lane_bytes, "little"))[::self._lane_words]
+
+    def _indices(self, pc: int, lhist: int) -> Tuple[int, ...]:
+        return self._lane_indices(self._pc_entry(pc)[1], lhist)
 
     def predict(self, pc: int) -> Tuple[bool, int]:
         """Return (taken, sum) for the branch at ``pc``."""
-        lhist = self._local.get(self._history_slot(pc), 0)
-        total = 0
-        for t, i in enumerate(self._indices(pc, lhist)):
-            total += self.tables[t][i]
+        slot, pc_lanes = self._pc_entry(pc)
+        indices = self._lane_indices(pc_lanes, self._local.get(slot, 0))
+        total = sum(map(list.__getitem__, self.tables, indices))
         return total >= 0, total
 
-    def update(self, pc: int, taken: bool) -> None:
-        """Train and advance the branch's local history."""
-        slot = self._history_slot(pc)
+    def update(self, pc: int, taken: bool) -> Tuple[bool, int]:
+        """Train and advance the branch's local history.
+
+        Returns the ``(taken, sum)`` prediction the update trained on —
+        what :meth:`predict` returns just before the call — so a caller
+        needing both does one lookup."""
+        slot, pc_lanes = self._pc_entry(pc)
         lhist = self._local.get(slot, 0)
-        indices = self._indices(pc, lhist)
-        total = sum(self.tables[t][i] for t, i in enumerate(indices))
+        indices = self._lane_indices(pc_lanes, lhist)
+        total = sum(map(list.__getitem__, self.tables, indices))
         predicted = total >= 0
         if predicted != taken or abs(total) <= self.theta:
             delta = 1 if taken else -1
-            for t, i in enumerate(indices):
-                w = self.tables[t][i] + delta
-                self.tables[t][i] = max(_WEIGHT_MIN, min(_WEIGHT_MAX, w))
-        mask = (1 << self.local_bits) - 1
-        self._local[slot] = ((lhist << 1) | (1 if taken else 0)) & mask
+            for table, i in zip(self.tables, indices):
+                w = table[i] + delta
+                if _WEIGHT_MIN <= w <= _WEIGHT_MAX:  # else stays saturated
+                    table[i] = w
+        self._local[slot] = (((lhist << 1) | (1 if taken else 0))
+                             & self._local_mask)
+        return predicted, total
 
     def state_dict(self) -> dict[str, object]:
         from ..state import to_pairs

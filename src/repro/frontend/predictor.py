@@ -15,7 +15,6 @@ simplification the paper's own trace-driven model makes for speed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..config import GenerationConfig
@@ -24,7 +23,7 @@ from ..metrics.registry import MetricRegistry, StatsView
 from ..observe.events import BranchEvent
 from ..observe.sink import TraceSink
 from ..power import EnergyLedger
-from ..traces.types import Kind, Trace, TraceRecord
+from ..traces.types import INDIRECT_KINDS, Kind, Trace, TraceRecord
 from .accel import RedirectAccelerator
 from .btb import BTBHierarchy, LINE_BYTES
 from .confidence import ConfidenceEstimator
@@ -38,6 +37,13 @@ from .vpc import VPCPredictor
 #: Instruction size for fallthrough/return-address arithmetic.
 _INSTR = 4
 
+_BR_COND = Kind.BR_COND
+_BR_RET = Kind.BR_RET
+#: Kinds whose fallthrough is pushed on the RAS.
+_PUSHES_RAS = frozenset({Kind.BR_CALL, Kind.BR_INDIRECT_CALL})
+#: ``pc & _LINE_MASK`` is ``BTBHierarchy.line_base(pc)``.
+_LINE_MASK = ~(LINE_BYTES - 1)
+
 #: Redirect cost when a *direct* taken branch misses the BTB: the decoder
 #: computes the target and resteers fetch — several bubbles, but not an
 #: execute-time misprediction (MPKI counts only direction/indirect/return
@@ -45,18 +51,22 @@ _INSTR = 4
 DECODE_REDIRECT_BUBBLES = 6
 
 
-@dataclass
 class BranchResult:
     """Outcome of one branch through the front end."""
 
-    mispredicted: bool
-    #: Fetch bubbles charged for a correct taken prediction (0 for correct
-    #: not-taken); irrelevant when mispredicted (the penalty dominates).
-    bubbles: int
-    #: True when the bubbles were saved by an MRB replay hit.
-    mrb_assisted: bool = False
-    #: Which engine drove the prediction: "ubtb", "main".
-    path: str = "main"
+    __slots__ = ("mispredicted", "bubbles", "mrb_assisted", "path")
+
+    def __init__(self, mispredicted: bool, bubbles: int,
+                 mrb_assisted: bool = False, path: str = "main") -> None:
+        self.mispredicted = mispredicted
+        #: Fetch bubbles charged for a correct taken prediction (0 for
+        #: correct not-taken); irrelevant when mispredicted (the penalty
+        #: dominates).
+        self.bubbles = bubbles
+        #: True when the bubbles were saved by an MRB replay hit.
+        self.mrb_assisted = mrb_assisted
+        #: Which engine drove the prediction: "ubtb", "main".
+        self.path = path
 
 
 class BranchStats(StatsView):
@@ -120,6 +130,43 @@ class BranchUnit:
             (None, None)
         self.ledger = (ledger if ledger is not None
                        else EnergyLedger(registry=self.stats.registry))
+        # Configuration and metric cells the per-branch path reads,
+        # hoisted once: none changes over the unit's life (a flush
+        # rebuilds structures, not the registry).
+        self._zat_zot = bp.has_zat_zot
+        self._mbtb_taken_bubbles = bp.mbtb_taken_bubbles
+        cell = self.stats.cell
+        self._c_branches = cell("branches")
+        self._c_conditional = cell("conditional_branches")
+        self._c_taken = cell("taken_branches")
+        self._c_mispredicts = cell("mispredicts")
+        self._c_cond_mispredicts = cell("conditional_mispredicts")
+        self._c_ind_mispredicts = cell("indirect_mispredicts")
+        self._c_ret_mispredicts = cell("return_mispredicts")
+        self._c_miss_redirects = cell("btb_miss_redirects")
+        self._c_ras_repairs = cell("ras_repairs")
+        self._c_bubbles = cell("total_bubbles")
+        self._c_mrb_saved = cell("mrb_saved_bubbles")
+        self._c_zero_bubble = cell("zero_bubble_redirects")
+        energy = self.ledger.registry.counter
+        self._e_ubtb_lookup = energy("energy.ubtb_lookup")
+        self._e_mbtb_lookup = energy("energy.mbtb_lookup")
+        self._e_shp_lookup = energy("energy.shp_lookup")
+        self._e_shp_update = energy("energy.shp_update")
+        self._build_structures(encrypt, decrypt)
+        self._bind_structure_gauges()
+        #: Zero-bubble arbiter decisions (Section IV-E): times the uBTB
+        #: was suppressed in favour of the ZAT/ZOT path.
+        self.arbiter_suppressions = 0
+
+    def _build_structures(self,
+                          encrypt: Optional[Callable[[int], int]] = None,
+                          decrypt: Optional[Callable[[int], int]] = None
+                          ) -> None:
+        """(Re)build every predictor structure and learning coupler in
+        its initial state — the constructor and ``context_switch
+        ("flush")`` share this, so a flushed unit equals a fresh one."""
+        bp = self.config.branch
         self.shp = ScaledHashedPerceptron(
             n_tables=bp.shp_tables,
             rows=bp.shp_rows,
@@ -150,13 +197,10 @@ class BranchUnit:
         self.accel = RedirectAccelerator(bp.has_1at, bp.has_zat_zot, self.btb)
         self.confidence = ConfidenceEstimator()
         self.mrb = MispredictRecoveryBuffer(bp.mrb_entries)
-        self._bind_structure_gauges()
+        self._mrb_enabled = self.mrb.enabled
         #: Whether the previous retired branch was taken (ZAT/ZOT learning).
         self._prev_taken = False
         self._prev_line = -1
-        #: Zero-bubble arbiter decisions (Section IV-E): times the uBTB
-        #: was suppressed in favour of the ZAT/ZOT path.
-        self.arbiter_suppressions = 0
 
     def _bind_structure_gauges(self) -> None:
         """Expose sub-structure counters as pull metrics.
@@ -199,7 +243,7 @@ class BranchUnit:
         Generations without ZAT/ZOT have no alternative zero-bubble path,
         so the uBTB always drives when locked.
         """
-        if not self.config.branch.has_zat_zot:
+        if not self._zat_zot:
             return True
         if len(self.ubtb.episode_lengths) < 4:
             return True  # not enough history: let the uBTB try
@@ -227,7 +271,8 @@ class BranchUnit:
         - ``"encrypt"``: the incoming context's cipher is installed; state
           learned by other contexts decrypts to junk targets for secrets
           (RAS/indirect) while direct-branch learning survives.
-        - ``"flush"``: every predictor structure is erased.
+        - ``"flush"``: every predictor structure is erased: rebuilt as
+          a fresh unit without a target cipher builds it.
         """
         if mode == "none":
             return
@@ -238,31 +283,7 @@ class BranchUnit:
             return
         if mode != "flush":
             raise ValueError(f"unknown context-switch mode {mode!r}")
-        bp = self.config.branch
-        self.shp = ScaledHashedPerceptron(
-            n_tables=bp.shp_tables, rows=bp.shp_rows,
-            ghist_bits=bp.ghist_bits, phist_bits=bp.phist_bits,
-        )
-        self.btb = BTBHierarchy(
-            mbtb_entries=bp.mbtb_entries, vbtb_entries=bp.vbtb_entries,
-            l2btb_entries=bp.l2btb_entries,
-            l2btb_fill_latency=bp.l2btb_fill_latency,
-            l2btb_fill_bandwidth=bp.l2btb_fill_bandwidth,
-            has_empty_line_opt=bp.has_empty_line_opt,
-        )
-        self.ubtb = MicroBTB(entries=bp.ubtb_entries,
-                             uncond_only_entries=bp.ubtb_uncond_only_entries)
-        self.ras = ReturnAddressStack(bp.ras_entries)
-        self.vpc = VPCPredictor(
-            self.shp, max_targets=bp.vpc_max_targets,
-            hybrid_hash_entries=bp.indirect_hash_entries,
-            hybrid_vpc_targets=bp.vpc_hybrid_targets,
-        )
-        self.accel = RedirectAccelerator(bp.has_1at, bp.has_zat_zot,
-                                         self.btb)
-        self.confidence = ConfidenceEstimator()
-        self.mrb = MispredictRecoveryBuffer(bp.mrb_entries)
-        self._prev_taken = False
+        self._build_structures()
 
     # -- main per-branch flow -----------------------------------------------------
 
@@ -274,117 +295,119 @@ class BranchUnit:
         the owning core resolved this branch at); it never influences a
         prediction or an update.
         """
-        stats = self.stats
-        stats.branches += 1
-        if rec.is_conditional:
-            stats.conditional_branches += 1
-        if rec.taken:
-            stats.taken_branches += 1
+        pc = rec.pc
+        kind = rec.kind
+        taken = rec.taken
+        target = rec.target
+        is_cond = kind == _BR_COND
+        self._c_branches.value += 1
+        if is_cond:
+            self._c_conditional.value += 1
+        if taken:
+            self._c_taken.value += 1
 
-        actual_taken = rec.taken
-        actual_target = rec.target if rec.taken else 0
-        fallthrough = rec.pc + _INSTR
-
-        locked_before = self.ubtb.locked
+        ubtb = self.ubtb
         result = None
-        if locked_before:
+        if ubtb.locked:
             if self._arbiter_prefers_ubtb():
-                result = self._predict_ubtb(rec)
+                result = self._predict_ubtb(pc, kind, taken, target, is_cond)
             else:
                 self.arbiter_suppressions += 1
         if result is None:
-            result = self._predict_main(rec)
+            result = self._predict_main(pc, kind, taken, target, is_cond)
 
         # --- shared updates -----------------------------------------------
-        self.shp.push_history(rec.pc, rec.is_conditional, actual_taken)
-        self.ubtb.observe(rec.pc, rec.kind, actual_taken, rec.target)
-        lock_transition = self.ubtb.step_lock_state(rec.pc)
-        if lock_transition:
+        self.shp.push_history(pc, is_cond, taken)
+        ubtb.observe(pc, kind, taken, target)
+        if ubtb.step_lock_state(pc):
             # Two-cycle startup when the uBTB takes over the pipe.
             result.bubbles += MicroBTB.STARTUP_BUBBLES
-        if rec.kind in (Kind.BR_CALL, Kind.BR_INDIRECT_CALL):
-            self.ras.push(fallthrough)
-        self.confidence.record(rec.pc, not result.mispredicted)
+        if kind in _PUSHES_RAS:
+            self.ras.push(pc + _INSTR)
+        mispredicted = result.mispredicted
+        self.confidence.record(pc, not mispredicted)
 
-        if result.mispredicted:
-            self.ubtb.notify_mispredict()
+        if mispredicted:
+            ubtb.notify_mispredict()
             # Wrong-path speculation between the prediction and the
             # redirect may have pushed/popped the RAS; the checkpoint
             # repair restores it ("standard mechanisms to repair multiple
             # speculative pushes and pops", Section IV).  The retired
             # stream carries no wrong-path records, so we model the repair
             # itself: snapshot, perturb, restore.
-            snap = self.ras.checkpoint()
-            self.ras.push(rec.pc ^ 0x5A5A)  # wrong-path junk
-            self.ras.pop()
-            self.ras.pop()
-            self.ras.restore(snap)
-            self.stats.ras_repairs += 1
-            stats.mispredicts += 1
-            if rec.is_conditional:
-                stats.conditional_mispredicts += 1
-            elif rec.kind == Kind.BR_RET:
-                stats.return_mispredicts += 1
-            elif rec.is_indirect:
-                stats.indirect_mispredicts += 1
+            ras = self.ras
+            snap = ras.checkpoint()
+            ras.push(pc ^ 0x5A5A)  # wrong-path junk
+            ras.pop()
+            ras.pop()
+            ras.restore(snap)
+            self._c_ras_repairs.value += 1
+            self._c_mispredicts.value += 1
+            if is_cond:
+                self._c_cond_mispredicts.value += 1
+            elif kind == _BR_RET:
+                self._c_ret_mispredicts.value += 1
+            elif kind in INDIRECT_KINDS:
+                self._c_ind_mispredicts.value += 1
             # MRB: arm replay / start recording for low-confidence branches.
-            if self.mrb.enabled:
-                armed = self.mrb.begin_replay(rec.pc)
-                if not armed and self.confidence.is_low_confidence(rec.pc):
-                    self.mrb.start_recording(rec.pc)
-        elif actual_taken and self.mrb.enabled:
+            if self._mrb_enabled:
+                armed = self.mrb.begin_replay(pc)
+                if not armed and self.confidence.is_low_confidence(pc):
+                    self.mrb.start_recording(pc)
+        elif taken and self._mrb_enabled:
             # Feed post-redirect fetch addresses to recording/replay.
-            self.mrb.observe_fetch_address(rec.target)
+            self.mrb.observe_fetch_address(target)
 
-        # ZAT/ZOT replication learning follows the *actual* control flow.
-        entry = self._current_entry(rec.pc)
-        if self._prev_taken and entry is not None:
+        # ZAT/ZOT replication learning follows the *actual* control flow,
+        # from the entry a lookup would now serve for this branch.
+        btb = self.btb
+        line = btb.mbtb.lines.get(pc & _LINE_MASK)
+        entry = line.get(pc) if line is not None else None
+        if entry is None:
+            entry = btb.vbtb.get(pc)
+        if self._prev_taken and entry is not None and self._zat_zot:
             self.accel.learn_replication(entry)
-        if actual_taken:
+        if taken:
             self.accel.observe_taken(entry)
-        self._prev_taken = actual_taken
+        self._prev_taken = taken
 
-        stats.total_bubbles += result.bubbles
-        if result.bubbles == 0 and actual_taken and not result.mispredicted:
-            stats.zero_bubble_redirects += 1
+        bubbles = result.bubbles
+        self._c_bubbles.value += bubbles
+        if bubbles == 0 and taken and not mispredicted:
+            self._c_zero_bubble.value += 1
         if self.sink is not None:
             taken_pred, target_pred = self._pred_snapshot
             if result.path == "ubtb":
                 unit = "ubtb"
-            elif rec.kind == Kind.BR_RET:
+            elif kind == _BR_RET:
                 unit = "ras"
-            elif rec.is_indirect:
+            elif kind in INDIRECT_KINDS:
                 unit = "vpc"
-            elif rec.is_conditional:
+            elif is_cond:
                 unit = "shp"
             else:
                 unit = "mbtb"
             self.sink.emit(BranchEvent(
-                seq=-1, cycle=float(now), pc=rec.pc, kind=rec.kind.name,
+                seq=-1, cycle=float(now), pc=pc, kind=kind.name,
                 unit=unit, predicted_taken=taken_pred,
-                actual_taken=actual_taken, predicted_target=target_pred,
-                actual_target=actual_target,
-                mispredicted=result.mispredicted,
-                bubbles=int(result.bubbles)))
+                actual_taken=taken, predicted_target=target_pred,
+                actual_target=target if taken else 0,
+                mispredicted=mispredicted,
+                bubbles=int(bubbles)))
         return result
-
-    def _current_entry(self, pc: int):
-        line = self.btb.mbtb.get_line(self.btb.line_base(pc), touch=False)
-        if line is not None and pc in line:
-            return line[pc]
-        entry = self.btb.vbtb.get(pc)
-        return entry
 
     # -- uBTB (locked) path ---------------------------------------------------------
 
-    def _predict_ubtb(self, rec: TraceRecord) -> Optional[BranchResult]:
-        pred = self.ubtb.predict(rec.pc)
+    def _predict_ubtb(self, pc: int, kind: Kind, taken: bool, target: int,
+                      is_cond: bool) -> Optional[BranchResult]:
+        ubtb = self.ubtb
+        pred = ubtb.predict(pc)
         if pred is None:
             return None  # unlocked on unknown branch; fall to main path
         taken_pred, target_pred, gated = pred
-        self.ledger.record("ubtb_lookup")
+        self._e_ubtb_lookup.value += 1
         bubbles = 0
-        if rec.kind == Kind.BR_RET:
+        if kind == _BR_RET:
             ras_target = self.ras.pop()
             target_pred = ras_target if ras_target is not None else 0
             taken_pred = True
@@ -392,31 +415,31 @@ class BranchUnit:
             # mBTB/SHP check the uBTB's predictions in the shadow
             # (Section IV-B); a stage-3 disagreement resteers to the SHP's
             # direction at the usual redirect cost.
-            self.ledger.record("mbtb_lookup")
-            if rec.is_conditional:
-                self.ledger.record("shp_lookup")
-                shadow = self.shp.predict(rec.pc)
+            self._e_mbtb_lookup.value += 1
+            if is_cond:
+                self._e_shp_lookup.value += 1
+                shadow = self.shp.predict(pc)
                 if shadow.taken != taken_pred:
                     taken_pred = shadow.taken
-                    bubbles += self.config.branch.mbtb_taken_bubbles
-                self.shp.update(rec.pc, rec.taken, shadow)
-                self.ledger.record("shp_update")
+                    bubbles += self._mbtb_taken_bubbles
+                self.shp.update(pc, taken, shadow)
+                self._e_shp_update.value += 1
         if self.sink is not None:
             self._pred_snapshot = (bool(taken_pred), target_pred)
-        mispredicted = (taken_pred != rec.taken) or (
-            rec.taken and taken_pred and target_pred != rec.target
+        mispredicted = (taken_pred != taken) or (
+            taken and taken_pred and target_pred != target
         )
         if mispredicted:
-            self.ubtb.locked_mispredicts += 1
-        return BranchResult(mispredicted=mispredicted, bubbles=bubbles,
-                            path="ubtb")
+            ubtb.locked_mispredicts += 1
+        return BranchResult(mispredicted, bubbles, False, "ubtb")
 
     # -- main (mBTB + SHP) path --------------------------------------------------------
 
-    def _predict_main(self, rec: TraceRecord) -> BranchResult:
-        bp = self.config.branch
-        lookup = self.btb.lookup(rec.pc)
-        self.ledger.record("mbtb_lookup")
+    def _predict_main(self, pc: int, kind: Kind, taken: bool, target: int,
+                      is_cond: bool) -> BranchResult:
+        btb = self.btb
+        lookup = btb.lookup(pc)
+        self._e_mbtb_lookup.value += 1
         if lookup.source == "vbtb":
             self.ledger.record("vbtb_lookup")
         elif lookup.source == "l2btb":
@@ -427,77 +450,76 @@ class BranchUnit:
         mrb_assisted = False
 
         # Direction.
-        if rec.is_conditional:
-            self.ledger.record("shp_lookup")
-            pred = self.shp.predict(rec.pc)
+        if is_cond:
+            self._e_shp_lookup.value += 1
+            pred = self.shp.predict(pc)
             taken_pred = pred.taken
         else:
             pred = None
             taken_pred = True
 
-        # Target.
+        # Target.  (Returns are indirect kinds too.)
+        is_ret = kind == _BR_RET
+        is_indirect = kind in INDIRECT_KINDS
         target_pred: Optional[int] = None
         indirect_latency = 0
-        if rec.kind == Kind.BR_RET:
+        if is_ret:
             target_pred = self.ras.pop()
-        elif rec.is_indirect:
-            ipred = self.vpc.predict(rec.pc)
+        elif is_indirect:
+            ipred = self.vpc.predict(pc)
             target_pred = ipred.target
             indirect_latency = max(0, ipred.latency - 1)
         elif entry is not None:
             target_pred = entry.target
 
-        if entry is None and rec.kind != Kind.BR_RET and not rec.is_indirect:
+        if entry is None and not is_indirect:
             # Undiscovered direct branch: no BTB entry means no prediction
             # at all — fetch falls through (implicit not-taken).  A taken
             # outcome costs a decode-time resteer, not a misprediction.
-            if rec.taken:
+            if taken:
                 bubbles += DECODE_REDIRECT_BUBBLES
-                self.stats.btb_miss_redirects += 1
+                self._c_miss_redirects.value += 1
         elif taken_pred:
-            if rec.taken:
-                if target_pred != rec.target or target_pred is None:
+            if taken:
+                if target_pred != target or target_pred is None:
                     mispredicted = True
                 else:
-                    base = bp.mbtb_taken_bubbles
+                    base = self._mbtb_taken_bubbles
                     if entry is not None:
                         bubbles += self.accel.taken_bubbles(entry, base)
                     else:
                         bubbles += base
                     bubbles += indirect_latency
                     # MRB replay can hide this block's redirect bubbles.
-                    if self.mrb.enabled and bubbles > 0:
-                        verdict = self.mrb.verify_next(rec.target)
+                    if self._mrb_enabled and bubbles > 0:
+                        verdict = self.mrb.verify_next(target)
                         if verdict:
-                            self.stats.mrb_saved_bubbles += bubbles
+                            self._c_mrb_saved.value += bubbles
                             bubbles = 0
                             mrb_assisted = True
             else:
                 mispredicted = True  # predicted taken, was not taken
         else:
-            mispredicted = rec.taken  # predicted not-taken
+            mispredicted = taken  # predicted not-taken
 
         if self.sink is not None:
-            pred_known = not (entry is None and rec.kind != Kind.BR_RET
-                              and not rec.is_indirect)
+            pred_known = entry is not None or is_indirect
             self._pred_snapshot = (
                 bool(taken_pred) if pred_known else None, target_pred)
 
         # --- updates ---------------------------------------------------------
         if entry is None:
-            entry = self.btb.discover(rec.pc, rec.target, rec.kind)
-        else:
-            if rec.taken and not rec.is_indirect and rec.kind != Kind.BR_RET:
-                entry.target = rec.target
-        entry.record_outcome(rec.taken)
-        if rec.is_conditional:
-            self.shp.update(rec.pc, rec.taken, pred)
-            self.ledger.record("shp_update")
-        if rec.is_indirect and rec.kind != Kind.BR_RET:
-            self.vpc.update(rec.pc, rec.target)
+            entry = btb.discover(pc, target, kind)
+        elif taken and not is_indirect:
+            entry.target = target
+        entry.record_outcome(taken)
+        if is_cond:
+            self.shp.update(pc, taken, pred)
+            self._e_shp_update.value += 1
+        if is_indirect and not is_ret:
+            self.vpc.update(pc, target)
 
-        return BranchResult(mispredicted=mispredicted, bubbles=bubbles,
-                            mrb_assisted=mrb_assisted, path="main")
+        return BranchResult(mispredicted, bubbles, mrb_assisted, "main")
 
     # -- checkpointing (state_dict protocol) --------------------------------
 

@@ -18,16 +18,10 @@ and stretched GHIST by 25% with rebalanced intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 from typing import Dict, List, Optional, Tuple
 
-from .history import (
-    GlobalHistory,
-    PathHistory,
-    geometric_intervals,
-    mix_segment,
-    pc_hash,
-)
+from .history import GlobalHistory, PathHistory, geometric_intervals
 
 #: 8-bit sign/magnitude weights: magnitude 0..127 plus a sign bit.
 WEIGHT_MAX = 127
@@ -41,17 +35,42 @@ BIAS_MIN = -31
 #: memos are pure caches, so clearing is always safe).
 _MEMO_CAP = 1 << 16
 
+#: ``history.mix_segment``/``pc_hash`` constants, inlined below.
+_GOLDEN = 0x9E3779B9
+_MIX1 = 0x9E3779B97F4A7C15
+_MIX2 = 0xBF58476D1CE4E5B9
+_WORD = (1 << 64) - 1
 
-@dataclass
+
+def pc_hash_lanes(pc: int, ones: int, salts: int, folds: Tuple[int, ...],
+                  index_mask: int) -> int:
+    """``history.pc_hash(pc, bits, salt)`` for every lane of a lane
+    vector at once.  ``ones`` has a 1 at the bottom of each (>= 64-bit)
+    lane, ``salts`` each lane's salt (low 32 bits), ``folds`` the
+    ``fold_bits`` shifts (multiples of ``bits`` below 32) and
+    ``index_mask`` ``2**bits - 1`` in each lane."""
+    x = ((((pc >> 2) & 0xFFFFFFFF) * ones ^ salts) * _GOLDEN) \
+        & (0xFFFFFFFF * ones)
+    lanes = x
+    for shift in folds:
+        lanes ^= x >> shift
+    return lanes & index_mask
+
+
 class ShpPrediction:
     """Everything the front end needs from one SHP lookup."""
 
-    taken: bool
-    total: int
-    indices: Tuple[int, ...]
-    bias: int
-    #: True when the branch is in the always-taken filter state.
-    filtered_always_taken: bool = False
+    __slots__ = ("taken", "total", "indices", "bias",
+                 "filtered_always_taken")
+
+    def __init__(self, taken: bool, total: int, indices: Tuple[int, ...],
+                 bias: int, filtered_always_taken: bool = False) -> None:
+        self.taken = taken
+        self.total = total
+        self.indices = indices
+        self.bias = bias
+        #: True when the branch is in the always-taken filter state.
+        self.filtered_always_taken = filtered_always_taken
 
     @property
     def confidence_margin(self) -> int:
@@ -90,14 +109,39 @@ class ScaledHashedPerceptron:
         self.phist_intervals = geometric_intervals(n_tables, phist_bits)
         self.tables: List[List[int]] = [[0] * rows for _ in range(n_tables)]
         self.seed_salt = seed_salt
-        #: Memo layer over the pure hash functions: ``pc_hash`` and
-        #: ``mix_segment`` depend only on their arguments, so caching
-        #: them changes how often they are evaluated, never any value.
-        #: The memos are deliberately not part of ``state_dict`` — they
-        #: are derivable caches.
-        self._pc_memo: Dict[int, Tuple[int, ...]] = {}
-        self._g_memo: List[Dict[int, int]] = [{} for _ in range(n_tables)]
-        self._p_memo: List[Dict[int, int]] = [{} for _ in range(n_tables)]
+        # Lane-parallel hashing: table t's hash inputs live in bits
+        # [t*lane, (t+1)*lane) of one int, so each step of ``pc_hash``
+        # and ``mix_segment`` runs for every table at once as a single
+        # big-int operation.  A lane holds a whole history register (for
+        # the replicate-and-mask step) and at least 128 bits (so the
+        # 64x64-bit finaliser products never carry into the next lane).
+        # Every interval starts at bit 0, so a table's segment is its
+        # history value under a mask.
+        assert all(lo == 0 for lo, _ in
+                   self.ghist_intervals + self.phist_intervals)
+        lane = max(128, -(-max(ghist_bits, phist_bits) // 64) * 64)
+        ones = sum(1 << (lane * t) for t in range(n_tables))
+        self._ones = ones
+        self._low64 = _WORD * ones
+        self._index_mask = (rows - 1) * ones
+        self._pc_salts = sum(
+            (((t + 1) * 0x51 + seed_salt) & 0xFFFFFFFF) << (lane * t)
+            for t in range(n_tables))
+        self._pc_folds = tuple(range(self.index_bits, 32, self.index_bits))
+        self._g_plan = self._lane_plan(self.ghist_intervals, ghist_bits,
+                                       lane, salt=1)
+        self._p_plan = self._lane_plan(self.phist_intervals, phist_bits,
+                                       lane, salt=0x40)
+        self._lane_words = lane // 64
+        self._lane_bytes = lane // 8 * n_tables
+        self._unpack = struct.Struct(
+            f"<{n_tables * self._lane_words}Q").unpack
+        #: Per-PC memo of the ``pc_hash`` lanes (a pure function of the
+        #: PC, so caching changes how often it is evaluated, never any
+        #: value; excluded from ``state_dict``).  The history segments
+        #: need no memo: hashing every table's pair costs less than one
+        #: memo probe per table did.
+        self._pc_memo: Dict[int, int] = {}
 
         # O-GEHL adaptive threshold: theta tracks history length scale.
         self.theta = theta_init if theta_init is not None else (
@@ -117,47 +161,47 @@ class ScaledHashedPerceptron:
 
     # -- indexing -----------------------------------------------------------
 
+    @staticmethod
+    def _lane_plan(intervals: List[Tuple[int, int]], bits: int, lane: int,
+                   salt: int) -> Tuple[int, Tuple[int, ...], int]:
+        """(segment masks, fold shifts, salt words) of one history's
+        lanes: ``mix_segment(segment, width, ·, salt=salt + t)`` for
+        table t."""
+        masks = sum(((1 << hi) - 1) << (lane * t)
+                    for t, (_, hi) in enumerate(intervals))
+        salts = sum((((salt + t) * _GOLDEN) & 0xFFFFFFFF) << (lane * t)
+                    for t in range(len(intervals)))
+        return masks, tuple(range(64, bits, 64)), salts
+
+    def _mix_lanes(self, value: int, masks: int, folds: Tuple[int, ...],
+                   salts: int) -> int:
+        """``mix_segment`` of every table's segment of ``value`` at once
+        (high lane bits unmasked: the caller masks the result)."""
+        low64 = self._low64
+        seg = (value * self._ones) & masks
+        folded = seg
+        for shift in folds:  # XOR-fold each lane to its low word
+            folded ^= seg >> shift
+        x = (((folded & low64) ^ salts) * _MIX1) & low64
+        x ^= x >> 31
+        return ((x & low64) * _MIX2) >> 24
+
     def _indices(self, pc: int) -> Tuple[int, ...]:
         """Per-table row indices: ``mix_segment`` of each table's GHIST
-        and PHIST interval XOR a salted ``pc_hash``, masked to the row
-        count.  Each pure hash is computed once per distinct input
-        (per-PC ``pc_hash`` vectors, per-(table, raw segment)
-        ``mix_segment`` values)."""
-        bits = self.index_bits
-        hs = self._pc_memo.get(pc)
-        if hs is None:
-            hs = tuple(
-                pc_hash(pc, bits, salt=(t + 1) * 0x51 + self.seed_salt)
-                for t in range(self.n_tables))
+        and PHIST interval XOR a salted ``pc_hash``, computed for all
+        tables at once in lanes (see ``__init__``)."""
+        lanes = self._pc_memo.get(pc)
+        if lanes is None:
+            lanes = pc_hash_lanes(pc, self._ones, self._pc_salts,
+                                  self._pc_folds, self._index_mask)
             if len(self._pc_memo) > _MEMO_CAP:
                 self._pc_memo.clear()
-            self._pc_memo[pc] = hs
-        gv = self.ghist.value
-        pv = self.phist.value
-        mask = self.rows - 1
-        g_memo = self._g_memo
-        p_memo = self._p_memo
-        idx = []
-        for t in range(self.n_tables):
-            glo, ghi = self.ghist_intervals[t]
-            plo, phi = self.phist_intervals[t]
-            gseg = (gv >> glo) & ((1 << (ghi - glo)) - 1)
-            gm = g_memo[t]
-            g = gm.get(gseg)
-            if g is None:
-                if len(gm) > _MEMO_CAP:
-                    gm.clear()
-                g = gm[gseg] = mix_segment(gseg, ghi - glo, bits, salt=t + 1)
-            pseg = (pv >> plo) & ((1 << (phi - plo)) - 1)
-            pm = p_memo[t]
-            p = pm.get(pseg)
-            if p is None:
-                if len(pm) > _MEMO_CAP:
-                    pm.clear()
-                p = pm[pseg] = mix_segment(pseg, phi - plo, bits,
-                                           salt=0x40 + t)
-            idx.append((g ^ p ^ hs[t]) & mask)
-        return tuple(idx)
+            self._pc_memo[pc] = lanes
+        lanes ^= (self._mix_lanes(self.ghist.value, *self._g_plan)
+                  ^ self._mix_lanes(self.phist.value, *self._p_plan)
+                  ) & self._index_mask
+        return self._unpack(
+            lanes.to_bytes(self._lane_bytes, "little"))[::self._lane_words]
 
     # -- prediction -----------------------------------------------------------
 
@@ -169,11 +213,13 @@ class ScaledHashedPerceptron:
         """
         self.lookups += 1
         indices = self._indices(pc)
-        bias = self._bias.get(pc, 1)  # fresh branches lean weakly taken
-        total = 2 * bias
-        for t, i in enumerate(indices):
-            total += self.tables[t][i]
-        filtered = not self._seen_not_taken.get(pc, False) and pc in self._bias
+        bias = self._bias.get(pc)
+        if bias is None:
+            bias = 1  # fresh branches lean weakly taken
+            filtered = False
+        else:
+            filtered = not self._seen_not_taken.get(pc, False)
+        total = 2 * bias + sum(map(list.__getitem__, self.tables, indices))
         if filtered:
             self.filtered_lookups += 1
             return ShpPrediction(taken=True, total=total, indices=indices,
@@ -236,9 +282,10 @@ class ScaledHashedPerceptron:
         delta = 1 if taken else -1
         bias = self._bias[pc] + delta
         self._bias[pc] = max(BIAS_MIN, min(BIAS_MAX, bias))
-        for t, i in enumerate(prediction.indices):
-            w = self.tables[t][i] + delta
-            self.tables[t][i] = max(WEIGHT_MIN, min(WEIGHT_MAX, w))
+        for table, i in zip(self.tables, prediction.indices):
+            w = table[i] + delta
+            if WEIGHT_MIN <= w <= WEIGHT_MAX:  # else it stays saturated
+                table[i] = w
 
     # -- history maintenance ----------------------------------------------------
 

@@ -23,6 +23,10 @@ from typing import Dict, Optional, Tuple
 from ..traces.types import INDIRECT_KINDS, Kind
 from .lhp import LocalHashedPerceptron
 
+_BR_COND = Kind.BR_COND
+#: Multi-target indirect kinds: every indirect except RAS-predicted returns.
+_PLAIN_INDIRECT = INDIRECT_KINDS - {Kind.BR_RET}
+
 
 @dataclass
 class UBTBNode:
@@ -38,10 +42,6 @@ class UBTBNode:
     confidence: int = 0
     #: Lifetime LHP direction misses (gating eligibility).
     lhp_misses: int = 0
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.kind == Kind.BR_COND
 
 
 class MicroBTB:
@@ -127,8 +127,8 @@ class MicroBTB:
         node.visits += 1
         if taken:
             node.taken_target = target
-        if node.is_conditional:
-            predicted, _ = self.lhp.predict(pc)
+        if node.kind == _BR_COND:
+            predicted, _ = self.lhp.update(pc, taken)
             if predicted == taken:
                 node.confidence = min(self.CONF_MAX, node.confidence + 1)
             else:
@@ -137,7 +137,6 @@ class MicroBTB:
                 # is the bar for gating, Section IV-B).
                 node.confidence = 0
                 node.lhp_misses += 1
-            self.lhp.update(pc, taken)
         else:
             node.confidence = min(self.CONF_MAX, node.confidence + 1)
 
@@ -163,16 +162,11 @@ class MicroBTB:
         # Multi-target indirect branches (other than RAS-predicted returns)
         # cannot be carried by a single learned edge: kernels containing
         # them stay on the main mBTB+SHP+VPC path.
-        is_plain_indirect = (
-            node is not None
-            and node.kind in INDIRECT_KINDS
-            and node.kind != Kind.BR_RET
-        )
         in_graph = (
             node is not None
-            and not is_plain_indirect
             and node.visits >= 2
-            and (node.confidence >= 1 or not node.is_conditional)
+            and node.kind not in _PLAIN_INDIRECT
+            and (node.confidence >= 1 or node.kind != _BR_COND)
         )
         if self.locked:
             self._lock_branches += 1
@@ -235,7 +229,7 @@ class MicroBTB:
         )
         if gate:
             self.gated_lookups += 1
-        if node.is_conditional:
+        if node.kind == _BR_COND:
             taken, _ = self.lhp.predict(pc)
         else:
             taken = True

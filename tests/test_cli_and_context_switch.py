@@ -3,10 +3,11 @@
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.config import get_generation
+from repro.config import GENERATION_ORDER, get_generation
 from repro.frontend import BranchUnit
 from repro.security import ProcessContext, SecureFrontEndContext
 from repro.traces import make_trace
+from repro.traces.types import Kind, TraceRecord
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,40 @@ def test_context_switch_flush_erases_state():
     assert unit.btb.mbtb_entry_count == 0
     assert unit.ubtb.node_count == 0
     assert not unit.ubtb.locked
+
+
+def _predictor_state(unit):
+    """Every predictor structure and learning coupler of ``unit``; the
+    lifetime arbiter counter, like the registry stats, survives a
+    flush."""
+    state = unit.state_dict()
+    del state["arbiter_suppressions"]
+    return state
+
+
+def _megamorphic_branch(count=64, targets=12):
+    """One indirect branch cycling through more targets than the VPC
+    keeps resident, so its chain claims shared vBTB slots."""
+    return [TraceRecord(0x4000, Kind.BR_INDIRECT, taken=True,
+                        target=0x8000 + 64 * (i % targets))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("gen", GENERATION_ORDER)
+def test_flush_rebuilds_a_fresh_unit(gen):
+    """A flushed unit equals a freshly built one: same state, and —
+    since configuration is not in ``state_dict`` — the same future."""
+    config = get_generation(gen)
+    unit = BranchUnit(config)
+    unit.run_trace(make_trace("web_like", seed=2, n_instructions=3000))
+    unit.context_switch("flush")
+    fresh = BranchUnit(config)
+    assert _predictor_state(unit) == _predictor_state(fresh)
+    for u in (unit, fresh):
+        for rec in _megamorphic_branch():
+            u.process_branch(rec)
+    assert fresh.vpc._spilled_slots > 0  # the branch does contend
+    assert _predictor_state(unit) == _predictor_state(fresh)
 
 
 def test_context_switch_encrypt_installs_cipher():

@@ -7,8 +7,8 @@ runs the record-object reference loop.  The contract under test: the
 two produce byte-identical metrics snapshots, window series, event
 streams, checkpoints and population archives, serial or sharded, warm
 or cold.  Alongside that: the compiled-trace binary format round-trips
-and fails closed (corrupt store entries regenerate), the memoized
-SHP/LHP index hashes equal the direct hash composition, and the
+and fails closed (corrupt store entries regenerate), the lane-hashed
+SHP/LHP indices equal the direct hash composition, and the
 two-slot port tracker issues bit-identically to the old O(ports) scan.
 """
 
@@ -194,18 +194,34 @@ def test_store_disk_hit_skips_regeneration(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# SHP/LHP: memoized indices == the direct hash composition
+# SHP/LHP: lane-hashed indices == the direct hash composition
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_tables,rows,ghist_bits", [(8, 1024, 165),
                                                       (16, 2048, 206)])
 def test_shp_indices_match_direct_hashes(n_tables, rows, ghist_bits):
-    rng = random.Random(n_tables)
+    for seed_salt in (0, 0x2F1):
+        _check_shp_indices(n_tables, rows, ghist_bits, seed_salt)
+
+
+def _check_shp_indices(n_tables, rows, ghist_bits, seed_salt):
+    rng = random.Random(n_tables + seed_salt)
     shp = ScaledHashedPerceptron(n_tables, rows, ghist_bits=ghist_bits,
-                                 phist_bits=80)
+                                 phist_bits=80, seed_salt=seed_salt)
+    # Both segment regimes: one-word segments (the fold is the
+    # identity) and multi-word segments (the fold XORs words).
+    widths = [hi - lo for lo, hi in
+              shp.ghist_intervals + shp.phist_intervals]
+    assert min(widths) <= 64 < max(widths)
     pcs = [rng.randrange(1 << 20) << 2 for _ in range(40)]
+    fresh_pcs = 0
     for _ in range(2000):
-        pc = rng.choice(pcs)  # repeats exercise the memo hit path
+        if rng.random() < 0.2:
+            pc = rng.randrange(1 << 46) << 2  # never seen: the miss path
+            assert pc not in shp._pc_memo
+            fresh_pcs += 1
+        else:
+            pc = rng.choice(pcs)  # repeats exercise the memo hit path
         shp.ghist.restore(rng.getrandbits(ghist_bits))
         shp.phist.restore(rng.getrandbits(80))
         want = []
@@ -216,9 +232,11 @@ def test_shp_indices_match_direct_hashes(n_tables, rows, ghist_bits):
                             shp.index_bits, salt=t + 1)
             p = mix_segment(shp.phist.segment(plo, phi), phi - plo,
                             shp.index_bits, salt=0x40 + t)
-            h = pc_hash(pc, shp.index_bits, salt=(t + 1) * 0x51)
+            h = pc_hash(pc, shp.index_bits,
+                        salt=(t + 1) * 0x51 + seed_salt)
             want.append((g ^ p ^ h) & (rows - 1))
         assert shp._indices(pc) == tuple(want)
+    assert fresh_pcs > 100
 
 
 def test_lhp_indices_match_direct_hashes():
@@ -238,6 +256,16 @@ def test_lhp_indices_match_direct_hashes():
         assert lhp._indices(pc, lhist) == tuple(want)
         assert lhp._history_slot(pc) == pc_hash(
             pc, lhp.history_entries.bit_length() - 1, salt=0x77)
+
+
+def test_lhp_update_returns_the_prediction_it_trained_on():
+    rng = random.Random(11)
+    lhp = LocalHashedPerceptron()
+    pcs = [rng.randrange(1 << 20) << 2 for _ in range(12)]
+    for _ in range(3000):
+        pc = rng.choice(pcs)
+        before = lhp.predict(pc)
+        assert lhp.update(pc, rng.random() < 0.7) == before
 
 
 # ---------------------------------------------------------------------------
