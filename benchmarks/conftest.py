@@ -16,11 +16,18 @@ for smoother curves or faster turnaround:
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.harness import run_population
+
+# The throughput gate times the production loop against the test-side
+# reference loop (``tests/reference_scoreboard.py``); make ``tests``
+# importable however pytest was started.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 BENCH_SLICES = int(os.environ.get("REPRO_BENCH_SLICES", "24"))
 BENCH_SLICE_LEN = int(os.environ.get("REPRO_BENCH_SLICE_LEN", "12000"))

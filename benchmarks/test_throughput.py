@@ -1,17 +1,18 @@
 """Throughput gate: the flat-array scoreboard loop must pay its way.
 
-The scoreboard runs a compiled trace (what every spec-driven run gets)
-through its flat-array loop, and a plain ``Trace`` through the
-record-object reference loop.  The single-run bench times both loops on
-the same warm work, checks the results are identical, and *gates* on
-the median speedup over alternating pairs.  The population bench
-records end-to-end KIPS.  Every number lands in ``BENCH_engine.json``
-(via the session ``bench_metrics`` channel).
+Every run takes ``Scoreboard.run``, a flat loop over compiled columns.
+The single-run bench times it on a spec against the record-object
+reference loop (``tests/reference_scoreboard.py``) over the same plain
+``Trace``, checks the results are identical, and *gates* on the median
+speedup over alternating pairs.  The population bench records
+end-to-end KIPS.  Every number lands in ``BENCH_engine.json`` (via the
+session ``bench_metrics`` channel); ``single_run_kips_record`` is the
+reference loop's.
 
 Timing protocol: generate and compile the trace first (untimed), warm
-each loop once, then time only simulation, alternating record/flat so
-slow drift on the host hits both sides alike.  Single pairs are noisy
-(one pair in eight can read 1.0x), so the gate is on the median.
+each loop once, then time only simulation, alternating reference/flat
+so slow drift on the host hits both sides alike.  Single pairs are
+noisy (one pair in eight can read 1.0x), so the gate is on the median.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import json
 import statistics
 import time
 
+from repro.core import Scoreboard
 from repro.engine import run_population
 from repro.engine.runner import clear_caches, run
 from repro.traces import TraceSpec
+from tests.reference_scoreboard import reference_run
 
 #: Population-bench shape: small enough for CI, big enough that the
 #: per-instruction loop dominates the measurement.
@@ -31,11 +34,11 @@ POP = dict(n_slices=3, slice_length=6000, seed=2020, cache="off",
 
 SINGLE = dict(spec=TraceSpec("specint_like", 29, 40_000), generation="M3")
 
-#: Alternating (record, flat) timing pairs for the single-run gate.
+#: Alternating (reference, flat) timing pairs for the single-run gate.
 PAIRS = 8
 
 #: Floor on the median per-pair speedup of the flat loop over the
-#: record loop; the gate the CI throughput job enforces.
+#: reference loop; the gate the CI throughput job enforces.
 MIN_SPEEDUP = 1.15
 
 
@@ -54,24 +57,30 @@ def _quartiles(values):
     return q1, q3
 
 
-def test_single_run_throughput_gate(bench_metrics):
+def test_single_run_throughput_gate(bench_metrics, monkeypatch):
     spec, gen = SINGLE["spec"], SINGLE["generation"]
     n = spec.n_instructions
     trace = spec.build()
-    ref = run(trace, gen, ledger=False)    # warm the record loop
+
+    def run_reference():
+        with monkeypatch.context() as patch:
+            patch.setattr(Scoreboard, "run", reference_run)
+            return run(trace, gen, ledger=False)
+
+    ref = run_reference()                  # warm the reference loop
     flat = run(spec, gen, ledger=False)    # compile + warm the flat loop
     assert _snap(flat) == _snap(ref)
 
-    t_record, t_flat = [], []
+    t_reference, t_flat = [], []
     for _ in range(PAIRS):
-        t_record.append(_timed(lambda: run(trace, gen, ledger=False))[1])
+        t_reference.append(_timed(run_reference)[1])
         t_flat.append(_timed(lambda: run(spec, gen, ledger=False))[1])
-    speedups = [r / f for r, f in zip(t_record, t_flat)]
+    speedups = [r / f for r, f in zip(t_reference, t_flat)]
     median = statistics.median(speedups)
     q1, q3 = _quartiles(speedups)
 
     bench_metrics["single_run_kips_record"] = (
-        n / 1000.0 / statistics.median(t_record))
+        n / 1000.0 / statistics.median(t_reference))
     bench_metrics["single_run_kips_flat"] = (
         n / 1000.0 / statistics.median(t_flat))
     bench_metrics["single_run_speedup"] = median
@@ -80,7 +89,7 @@ def test_single_run_throughput_gate(bench_metrics):
 
     assert median >= MIN_SPEEDUP, (
         f"flat loop median speedup {median:.2f}x over {PAIRS} pairs "
-        f"(IQR {q1:.2f}-{q3:.2f}) < {MIN_SPEEDUP}x the record loop")
+        f"(IQR {q1:.2f}-{q3:.2f}) < {MIN_SPEEDUP}x the reference loop")
 
 
 def test_population_throughput(bench_metrics):

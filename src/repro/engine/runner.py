@@ -486,10 +486,9 @@ def run(trace_or_spec: TraceLike,
     untraced — the captured stream covers the measure phase only.
 
     A spec is compiled once (reused through the in-process memo and the
-    on-disk compiled-trace store); the scoreboard runs its flat-array
-    loop over it, or its record-object loop when a trace sink is
-    attached.  A materialized ``Trace`` always takes the record-object
-    loop.  Results are identical on every path.
+    on-disk compiled-trace store); a materialized ``Trace`` is compiled
+    by the scoreboard on entry.  Either way, traced or not, the
+    scoreboard runs its one flat-array loop.
     """
     from ..core import GenerationSimulator
 

@@ -303,8 +303,6 @@ def _run_pipetrace_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     config = config_from_dict(payload["config"])
     trace = _build_compiled(payload["trace"])
     sink = TraceSink(capacity=payload.get("capacity", 65536))
-    # Sink attached -> the scoreboard runs its record-object loop over
-    # the compiled trace (events need per-record context).
     sim = GenerationSimulator(config, corunners=payload.get("corunners", 0),
                               trace_sink=sink)
     r = sim.run(trace, window_interval=0)

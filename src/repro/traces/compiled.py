@@ -1,8 +1,8 @@
-"""Decode-once compiled traces: flat parallel arrays for the flat loop.
+"""Decode-once compiled traces: flat parallel arrays for the scoreboard.
 
 A :class:`~repro.traces.types.Trace` is a list of ``TraceRecord``
-objects — ideal for the reference scoreboard loop, but every pass over
-it pays per-record attribute loads, ``Kind`` enum comparisons and
+objects — convenient to generate and inspect, but every pass over it
+pays per-record attribute loads, ``Kind`` enum comparisons and
 repeated ``pc & ~63`` line math.  :func:`compile_trace` performs that
 decode exactly once, producing a :class:`CompiledTrace` of flat
 parallel columns (plain Python ``int`` lists, serialized as
@@ -17,6 +17,8 @@ parallel columns (plain Python ``int`` lists, serialized as
 The ``kind`` column doubles as the per-record latency-class index: the
 scoreboard builds 16-entry per-kind latency and port dispatch tables
 and indexes them with it directly (see ``Scoreboard._dispatch_tables``).
+``Scoreboard.run`` consumes only compiled traces; a plain ``Trace``
+handed to it is compiled on entry.
 
 Branch records keep their full ``TraceRecord`` identity — the branch
 unit consumes rich records — via a sparse ``branch_records()`` list
@@ -130,9 +132,8 @@ class CompiledTrace:
         return self.record(idx)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        # Record-at-a-time view; the fast loop reads the columns directly
-        # and never pays this, but the reference loop (and any generic
-        # Trace consumer) works unchanged.
+        # Record-at-a-time view for generic Trace consumers; the
+        # scoreboard reads the columns directly and never pays this.
         for i in range(len(self.pc)):
             yield self.record(i)
 
@@ -183,8 +184,8 @@ class CompiledTrace:
 
 def compile_trace(trace: Trace) -> CompiledTrace:
     """One decode pass: records -> flat columns (+ the branch sparse
-    list referencing the original records, so in-process flat-loop runs
-    feed the branch unit the exact objects the record loop would)."""
+    list referencing the original records, so the scoreboard feeds the
+    branch unit the trace's own record objects)."""
     records = trace.records if isinstance(trace, Trace) else list(trace)
     columns: Dict[str, List[int]] = {
         "pc": [r.pc for r in records],

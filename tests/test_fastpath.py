@@ -1,15 +1,17 @@
 """Tests for the compiled-trace path (docs/performance.md).
 
-The scoreboard picks its loop by input type: a spec compiles to a
-:class:`~repro.traces.compiled.CompiledTrace` and runs the flat-array
-loop, while a plain :class:`~repro.traces.types.Trace` (``spec.build()``)
-runs the record-object reference loop.  The contract under test: the
-two produce byte-identical metrics snapshots, window series, event
-streams, checkpoints and population archives, serial or sharded, warm
-or cold.  Alongside that: the compiled-trace binary format round-trips
-and fails closed (corrupt store entries regenerate), the lane-hashed
-SHP/LHP indices equal the direct hash composition, and the
-two-slot port tracker issues bit-identically to the old O(ports) scan.
+Every run takes one production loop, ``Scoreboard.run``: a spec
+compiles to a :class:`~repro.traces.compiled.CompiledTrace`, and a
+plain :class:`~repro.traces.types.Trace` is compiled on entry.  The
+contract under test: swapping in the record-object reference loop
+(``tests/reference_scoreboard.py``) changes nothing — metrics
+snapshots, window series, event streams, checkpoints and population
+archives are byte-identical, serial or sharded, warm or cold, whether
+the input is a spec or a plain ``Trace``.  Alongside that: the
+compiled-trace binary format round-trips and fails closed (corrupt
+store entries regenerate), the lane-hashed SHP/LHP indices equal the
+direct hash composition, and the two-slot port tracker issues
+bit-identically to the old O(ports) scan.
 """
 
 from __future__ import annotations
@@ -20,21 +22,27 @@ import random
 import pytest
 
 import repro
-from repro.core import GenerationSimulator
+from repro.config import get_generation
+from repro.core import GenerationSimulator, Scoreboard
 from repro.core.scoreboard import _PortGroup
 from repro.engine import execute_population, run_population
 from repro.engine.cache import CTRACE_DIRNAME, CompiledTraceStore
 from repro.engine.runner import clear_caches
 from repro.engine.tasks import _CTRACE_MEMO, _build_compiled
+from repro.frontend import BranchUnit
 from repro.frontend.history import fold_bits, mix_segment, pc_hash
 from repro.frontend.lhp import LocalHashedPerceptron
 from repro.frontend.shp import ScaledHashedPerceptron
+from repro.memory import MemoryHierarchy
+from repro.memory.icache import InstructionCache
 from repro.observe.events import events_to_jsonl
 from repro.serialization import population_to_json
 from repro.traces import SUITE_WEIGHTS, TraceSpec, make_trace
 from repro.traces.compiled import (CompiledTraceError, compile_trace,
                                    compiled_fingerprint, dump_bytes,
                                    load_bytes)
+
+from .reference_scoreboard import reference_run
 
 
 def _snap(result):
@@ -269,57 +277,90 @@ def test_lhp_update_returns_the_prediction_it_trained_on():
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: record loop (plain Trace) vs flat loop (spec), every mode
+# Bit-identity: production loop vs the record-object reference, every mode
 # ---------------------------------------------------------------------------
 
 _GENS = ("M1", "M6")
 
 
+@pytest.fixture
+def reference(monkeypatch):
+    """``reference(fn, *args, **kwargs)`` calls ``fn`` with every
+    in-process ``Scoreboard`` running :func:`reference_run` instead of
+    ``Scoreboard.run`` (worker processes keep the production loop, so
+    reference-side populations run with ``workers=1``)."""
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(Scoreboard, "run", reference_run)
+            return fn(*args, **kwargs)
+    return call
+
+
 @pytest.mark.parametrize("gen", _GENS)
-def test_single_run_identical(gen):
+def test_single_run_identical(reference, gen):
     for i, family in enumerate(SUITE_WEIGHTS):
         spec = TraceSpec(family, 11 + i, 4000)
-        ref = repro.run(spec.build(), gen)
-        flat = repro.run(spec, gen)
-        assert _snap(flat) == _snap(ref), family
-        assert flat.windows == ref.windows, family
+        ref = reference(repro.run, spec.build(), gen)
+        prod = repro.run(spec, gen)
+        assert _snap(prod) == _snap(ref), family
+        assert prod.windows == ref.windows, family
 
 
-def test_single_run_warmup_identical():
+def test_single_run_warmup_identical(reference):
     spec = TraceSpec("mobile_like", 6, 4000)
-    ref = repro.run(spec.build(), "M5")
-    flat = repro.run(spec, "M5", warmup=1500)
-    assert _snap(flat) == _snap(ref)
+    ref = reference(repro.run, spec.build(), "M5")
+    prod = repro.run(spec, "M5", warmup=1500)
+    assert _snap(prod) == _snap(ref)
 
 
-def test_event_stream_identical():
-    # Traced runs take the record loop on either input; the compiled
-    # trace's record view must be indistinguishable from the plain one,
-    # and tracing must not move the flat loop's untraced numbers.
-    spec = TraceSpec("specint_like", 2, 1500)
-    ref = repro.run(spec.build(), "M4", trace_to=True)
-    traced = repro.run(spec, "M4", trace_to=True)
-    assert events_to_jsonl(traced.events) == events_to_jsonl(ref.events)
-    assert _snap(traced) == _snap(ref)
+def test_event_stream_identical(reference):
+    # Spec and plain-Trace inputs both reach the production loop; each
+    # must stream exactly the reference's events, and tracing must not
+    # move the untraced numbers.  pointer_chase on M4 has load-load
+    # cascades and mispredicts.
+    spec = TraceSpec("pointer_chase", 2, 1500)
+    ref = reference(repro.run, spec.build(), "M4", trace_to=True)
+    want = events_to_jsonl(ref.events)
+    for trace in (spec, spec.build()):
+        traced = repro.run(trace, "M4", trace_to=True)
+        assert events_to_jsonl(traced.events) == want
+        assert _snap(traced) == _snap(ref)
     assert _snap(repro.run(spec, "M4")) == _snap(ref)
 
 
-def test_checkpoint_resume_identical_on_compiled_trace():
-    spec = TraceSpec(family="stream_like", seed=13, n_instructions=4000)
+def test_checkpoint_resume_identical_on_compiled_trace(reference):
+    spec = TraceSpec(family="pointer_chase", seed=13, n_instructions=4000)
     compiled = _build_compiled(spec.to_dict())
+    ref = reference(lambda: GenerationSimulator("M6").run(spec.build()))
 
-    whole = GenerationSimulator("M6")
-    result = whole.run(compiled)
+    assert _snap(GenerationSimulator("M6").run(compiled)) == _snap(ref)
 
-    first = GenerationSimulator("M6")
-    first.run(compiled.slice(0, 1700), finalize=False)
-    doc = json.loads(json.dumps(first.save_state()))
-    resumed = GenerationSimulator("M6")
-    resumed.restore(doc)
-    res2 = resumed.run(compiled.slice(1700))
-    assert _snap(res2) == _snap(result)
-    assert _snap(GenerationSimulator("M6").run(spec.build())) == \
-        _snap(result)
+    # Resume on the production loop from a checkpoint taken by either
+    # loop: both leave the same state behind.
+    for first_run in (lambda sim, t: sim.run(t, finalize=False),
+                      lambda sim, t: reference(sim.run, t, finalize=False)):
+        first = GenerationSimulator("M6")
+        first_run(first, compiled.slice(0, 1700))
+        doc = json.loads(json.dumps(first.save_state()))
+        resumed = GenerationSimulator("M6")
+        resumed.restore(doc)
+        assert _snap(resumed.run(compiled.slice(1700))) == _snap(ref)
+
+
+def test_plain_trace_into_scoreboard_identical():
+    cfg = get_generation("M6")
+    trace = make_trace("web_like", seed=4, n_instructions=4000)
+
+    def snapshot(run):
+        memory = MemoryHierarchy(cfg)
+        sb = Scoreboard(cfg, branch_unit=BranchUnit(cfg), memory=memory,
+                        icache=InstructionCache(cfg, memory))
+        run(sb)
+        return json.dumps(sb.stats.registry.snapshot().values,
+                          sort_keys=True)
+
+    assert snapshot(lambda sb: sb.run(trace)) == \
+        snapshot(lambda sb: reference_run(sb, trace))
 
 
 def _population(workers, warmup=0):
@@ -329,8 +370,9 @@ def _population(workers, warmup=0):
                           cache="off", warmup=warmup)
 
 
-def test_population_archives_identical_serial_and_sharded():
-    ref = population_to_json(_population(workers=1))
+def test_population_archives_identical_serial_and_sharded(reference):
+    ref = population_to_json(reference(_population, workers=1))
+    assert population_to_json(_population(workers=1)) == ref
     assert population_to_json(_population(workers=2)) == ref
     assert population_to_json(_population(workers=1, warmup=1000)) == ref
 
