@@ -81,7 +81,16 @@ class _NaivePortGroup:
         return t
 
 
-@pytest.mark.parametrize("ports", [1, 2, 3, 4])
+def _port_counts():
+    """Every port-group size any generation has (1, 2, 3, 4 and 6)."""
+    from repro.config import GENERATION_ORDER
+
+    return sorted({len(getattr(Scoreboard(get_generation(g)), name).free)
+                   for g in GENERATION_ORDER
+                   for name in Scoreboard._PORT_GROUPS})
+
+
+@pytest.mark.parametrize("ports", _port_counts())
 def test_port_group_matches_reference_scan(ports):
     rng = random.Random(1234 + ports)
     fast, ref = _PortGroup(ports), _NaivePortGroup(ports)
