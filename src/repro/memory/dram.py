@@ -17,7 +17,7 @@ _BANK_SHIFT = 6
 _ROW_SHIFT = 14  # 16KB row buffer
 
 
-@dataclass
+@dataclass(frozen=True)
 class DramAccessResult:
     latency: float
     page_hit: bool
@@ -44,11 +44,13 @@ class DramModel:
         self.early_activates_honored = 0
         self.early_activates_ignored = 0
         self.outstanding = 0
-
-    def _bank_row(self, addr: int) -> (int, int):
-        bank = (addr >> _BANK_SHIFT) % self.n_banks
-        row = addr >> _ROW_SHIFT
-        return bank, row
+        # Timing is uniform per outcome, so every access returns one of
+        # three immutable results.
+        self._page_hit = DramAccessResult(base_latency, page_hit=True)
+        self._early_miss = DramAccessResult(base_latency, page_hit=False,
+                                            early_activated=True)
+        self._page_miss = DramAccessResult(base_latency + page_miss_penalty,
+                                           page_hit=False)
 
     def early_activate(self, addr: int) -> bool:
         """Speculatively open the page for ``addr``; may be ignored under
@@ -56,8 +58,8 @@ class DramModel:
         if self.outstanding > self.activate_ignore_load:
             self.early_activates_ignored += 1
             return False
-        bank, row = self._bank_row(addr)
-        self._pending_activates[bank] = row
+        self._pending_activates[(addr >> _BANK_SHIFT) % self.n_banks] = \
+            addr >> _ROW_SHIFT
         self.early_activates_honored += 1
         return True
 
@@ -65,20 +67,18 @@ class DramModel:
         """One read/write; returns device latency (controller queueing and
         interconnect latency are added by the caller)."""
         self.accesses += 1
-        bank, row = self._bank_row(addr)
-        open_row = self._open_row.get(bank)
+        bank = (addr >> _BANK_SHIFT) % self.n_banks
+        row = addr >> _ROW_SHIFT
         early = self._pending_activates.pop(bank, None)
-        if open_row == row:
+        if self._open_row.get(bank) == row:
             self.page_hits += 1
-            return DramAccessResult(self.base_latency, page_hit=True)
+            return self._page_hit
         self.page_misses += 1
         self._open_row[bank] = row
         if early == row:
             # Activation already in flight thanks to the sideband hint.
-            return DramAccessResult(self.base_latency, page_hit=False,
-                                    early_activated=True)
-        return DramAccessResult(self.base_latency + self.page_miss_penalty,
-                                page_hit=False)
+            return self._early_miss
+        return self._page_miss
 
     @property
     def page_hit_rate(self) -> float:

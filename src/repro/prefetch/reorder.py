@@ -13,7 +13,8 @@ buffer are dropped so the training unit sees unique addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import deque
+from typing import Deque, Dict, List
 
 
 class AddressReorderBuffer:
@@ -28,43 +29,47 @@ class AddressReorderBuffer:
         self._pending_lines: Dict[int, int] = {}  # line addr -> refcount
         #: Recently released lines; duplicates to these are also filtered
         #: (back-to-back touches of one line carry no training signal).
-        self._recent: List[int] = []
         self._recent_cap = 8
+        self._recent: Deque[int] = deque(maxlen=self._recent_cap)
         self._next_release = 0
         self._next_seq = 0
         self.inserted = 0
         self.deduped = 0
         self.overflow_releases = 0
 
-    def _line(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
     def insert(self, addr: int, seq: int = -1) -> List[int]:
         """Insert one address (auto-sequenced when ``seq`` is -1); returns
-        line addresses released to the training unit, in program order."""
+        line addresses released to the training unit, in program order.
+
+        An in-order arrival with nothing waiting — every auto-sequenced
+        insert — is released on the spot; only out-of-order arrivals
+        wait in the window.
+        """
         self.inserted += 1
         if seq < 0:
             seq = self._next_seq
-        self._next_seq = max(self._next_seq, seq + 1)
-        line = self._line(addr)
+        if seq >= self._next_seq:
+            self._next_seq = seq + 1
+        line = addr - addr % self.line_bytes
+        pending = self._pending
         if line in self._pending_lines or line in self._recent:
             # Duplicate to a resident/just-released line: filtered.
             self.deduped += 1
-            self._advance_release_past(seq)
-            return self._drain()
-        self._pending[seq] = line
+            if seq == self._next_release:
+                self._next_release = seq + 1
+            return self._drain() if pending else []
+        if seq == self._next_release and not pending:
+            self._next_release = seq + 1
+            self._recent.append(line)
+            return [line]
+        pending[seq] = line
         self._pending_lines[line] = self._pending_lines.get(line, 0) + 1
         released = self._drain()
         # Capacity pressure: force-release the oldest entries.
-        while len(self._pending) > self.capacity:
-            oldest = min(self._pending)
-            released.append(self._release(oldest))
+        while len(pending) > self.capacity:
+            released.append(self._release(min(pending)))
             self.overflow_releases += 1
         return released
-
-    def _advance_release_past(self, seq: int) -> None:
-        if seq == self._next_release:
-            self._next_release += 1
 
     def _release(self, seq: int) -> int:
         line = self._pending.pop(seq)
@@ -73,10 +78,9 @@ class AddressReorderBuffer:
             self._pending_lines[line] = count
         else:
             del self._pending_lines[line]
-        self._next_release = max(self._next_release, seq + 1)
+        if seq >= self._next_release:
+            self._next_release = seq + 1
         self._recent.append(line)
-        if len(self._recent) > self._recent_cap:
-            del self._recent[0]
         return line
 
     def _drain(self) -> List[int]:
@@ -110,7 +114,8 @@ class AddressReorderBuffer:
                          for seq, line in state["pending"]}
         self._pending_lines = {int(line): int(count)
                                for line, count in state["pending_lines"]}
-        self._recent = [int(a) for a in state["recent"]]
+        self._recent = deque((int(a) for a in state["recent"]),
+                             maxlen=self._recent_cap)
         self._next_release = int(state["next_release"])
         self._next_seq = int(state["next_seq"])
         self.inserted = int(state["inserted"])

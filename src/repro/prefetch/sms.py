@@ -56,12 +56,6 @@ class SmsPrefetcher:
         self.issued_l1 = 0
         self.issued_l2 = 0
 
-    def _region_base(self, addr: int) -> int:
-        return addr - (addr % self.region_bytes)
-
-    def _line(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
     # -- training ---------------------------------------------------------------
 
     def train_miss(self, pc: int, addr: int,
@@ -73,32 +67,42 @@ class SmsPrefetcher:
             self.suppressed += 1
             return []
         self.trainings += 1
-        base = self._region_base(addr)
-        offset = addr - base
-        region = self._active.get(base)
-        out: List[SmsPrefetch] = []
-        if region is None:
-            # First miss to the region: this PC is the primary load.  A
-            # reappearing primary also *closes* its previous generation —
-            # the natural generation boundary in SMS.
-            for obase, oregion in list(self._active.items()):
-                if oregion.primary_pc == pc:
-                    del self._active[obase]
-                    self._commit(oregion)
-            self._commit_overflow()
-            self._active[base] = _ActiveRegion(primary_pc=pc, base=base)
-            self._active.move_to_end(base)
-            out = self._predict(pc, base)
-        else:
+        offset = addr % self.region_bytes
+        base = addr - offset
+        active = self._active
+        region = active.get(base)
+        if region is not None:
             if pc != region.primary_pc:
                 region.offsets[offset] = True
-            self._active.move_to_end(base)
+            active.move_to_end(base)
+            return []
+        # First miss to the region: this PC is the primary load.  A
+        # reappearing primary also *closes* its previous generation —
+        # the natural generation boundary in SMS.
+        for obase, oregion in list(active.items()):
+            if oregion.primary_pc == pc:
+                del active[obase]
+                self._commit(oregion)
+        while len(active) >= self.active_capacity:
+            self._commit(active.popitem(last=False)[1])
+        active[base] = _ActiveRegion(primary_pc=pc, base=base)
+        # Predict from the pattern this PC left last time.
+        pat = self._patterns.get(pc)
+        if not pat:
+            return []
+        self._patterns.move_to_end(pc)
+        line_bytes = self.line_bytes
+        out: List[SmsPrefetch] = []
+        for off, conf in pat.items():
+            if conf >= _CONF_FULL:
+                line = base + off
+                out.append(SmsPrefetch(line - line % line_bytes, True))
+                self.issued_l1 += 1
+            elif conf >= _CONF_L2_ONLY:
+                line = base + off
+                out.append(SmsPrefetch(line - line % line_bytes, False))
+                self.issued_l2 += 1
         return out
-
-    def _commit_overflow(self) -> None:
-        while len(self._active) >= self.active_capacity:
-            _, region = self._active.popitem(last=False)
-            self._commit(region)
 
     def _commit(self, region: _ActiveRegion) -> None:
         """Fold an ended generation's observed offsets into the pattern
@@ -118,23 +122,6 @@ class SmsPrefetcher:
                 pat[off] -= 1
                 if pat[off] <= 0:
                     del pat[off]
-
-    # -- prediction ----------------------------------------------------------------
-
-    def _predict(self, pc: int, base: int) -> List[SmsPrefetch]:
-        pat = self._patterns.get(pc)
-        if not pat:
-            return []
-        self._patterns.move_to_end(pc)
-        out: List[SmsPrefetch] = []
-        for off, conf in pat.items():
-            if conf >= _CONF_FULL:
-                out.append(SmsPrefetch(self._line(base + off), to_l1=True))
-                self.issued_l1 += 1
-            elif conf >= _CONF_L2_ONLY:
-                out.append(SmsPrefetch(self._line(base + off), to_l1=False))
-                self.issued_l2 += 1
-        return out
 
     def flush(self) -> None:
         """Commit every active generation (end-of-interval housekeeping)."""

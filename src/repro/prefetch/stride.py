@@ -55,18 +55,6 @@ class StrideStream:
 
     # -- pattern machinery ----------------------------------------------------
 
-    def _detect(self) -> None:
-        """Lock onto the shortest period that repeats twice in the recent
-        delta history."""
-        d = list(self.deltas)
-        for period in range(1, _MAX_PERIOD + 1):
-            if len(d) < 2 * period:
-                continue
-            if d[-period:] == d[-2 * period:-period] and any(d[-period:]):
-                self.pattern = tuple(d[-period:])
-                self.pattern_pos = 0
-                return
-
     def _advance_from(self, addr: int) -> int:
         """Next expected address after ``addr`` along the locked pattern
         (stateful in pattern position — used by generation and by the
@@ -130,14 +118,6 @@ class MultiStridePrefetcher:
 
     # -- stream lookup -----------------------------------------------------------
 
-    def _find_stream(self, addr: int) -> Optional[StrideStream]:
-        best = None
-        for s in self.streams:
-            if abs(addr - s.last_addr) <= _CAPTURE_WINDOW:
-                if best is None or abs(addr - s.last_addr) < abs(addr - best.last_addr):
-                    best = s
-        return best
-
     def _alloc_stream(self, addr: int) -> StrideStream:
         s = StrideStream(addr, self.min_degree, self.max_degree,
                          self.integrated, self.confirmation_entries)
@@ -153,7 +133,13 @@ class MultiStridePrefetcher:
         """Feed one (deduped, ordered) miss line address; returns prefetch
         line addresses to issue."""
         self._clock += 1
-        stream = self._find_stream(line_addr)
+        # The nearest stream within the capture window (first on ties).
+        stream = None
+        best = _CAPTURE_WINDOW + 1
+        for s in self.streams:
+            dist = line_addr - s.last_addr
+            if -best < dist < best:
+                stream, best = s, (dist if dist >= 0 else -dist)
         if stream is None:
             self._alloc_stream(line_addr)
             return []
@@ -161,51 +147,66 @@ class MultiStridePrefetcher:
         delta = line_addr - stream.last_addr
         if delta == 0:
             return []
-        stream.deltas.append(delta)
+        deltas = stream.deltas
+        deltas.append(delta)
         stream.last_addr = line_addr
 
-        confirmed = stream.confirm_queue.confirm(line_addr)
+        queue = stream.confirm_queue
+        confirmed = queue.confirm(line_addr)
         if confirmed:
             self.confirmed += 1
         stream.degree.record(confirmed)
 
-        was_locked = stream.locked
+        # Lock onto the shortest period that repeats twice in the recent
+        # delta history (period 1, the plain stride, checked first).
         old_pattern = stream.pattern
-        stream.pattern = None
-        self._lock(stream)
-        if not stream.locked:
+        pattern = None
+        n = len(deltas)
+        if n >= 2 and delta == deltas[-2]:
+            pattern = (delta,)
+        elif n >= 4:
+            d = list(deltas)
+            for period in range(2, min(_MAX_PERIOD, n // 2) + 1):
+                tail = d[-period:]
+                if tail == d[-2 * period:-period] and any(tail):
+                    pattern = tuple(tail)
+                    break
+        stream.pattern = pattern
+        if pattern is None:
             return []
-        if not was_locked or stream.pattern != old_pattern:
+        stream.pattern_pos = 0
+        integrated = self.integrated
+        if old_pattern != pattern:
             # Fresh lock (or pattern change): frontier restarts at demand.
             stream.frontier = line_addr
-            stream.pattern_pos = 0
-            if isinstance(stream.confirm_queue, IntegratedConfirmationQueue):
-                stream.confirm_queue.prime(line_addr)
+            if integrated:
+                queue.prime(line_addr)
         # Demand overtook the frontier: skip ahead (Section VII-B).
-        if stream.frontier < line_addr:
-            stream.frontier = line_addr
+        frontier = stream.frontier
+        if frontier < line_addr:
+            frontier = line_addr
             self.skip_aheads += 1
         # The frontier leads demand by at most `degree` pattern steps —
         # that IS the degree's definition; issuing further wastes power,
         # bandwidth and cache capacity (Section VII-B).
         degree = stream.degree.degree
-        step = max(1, abs(sum(stream.pattern)) // len(stream.pattern))
+        period = len(pattern)
+        step = max(1, abs(sum(pattern)) // period)
         max_frontier = line_addr + degree * step
+        line_bytes = self.line_bytes
+        pos = stream.pattern_pos
         out: List[int] = []
-        while stream.frontier < max_frontier and len(out) < degree:
-            stream.frontier = self._advance(stream, stream.frontier)
-            out.append(stream.frontier - stream.frontier % self.line_bytes)
-            if not isinstance(stream.confirm_queue,
-                              IntegratedConfirmationQueue):
-                stream.confirm_queue.note_prefetch(out[-1])
+        while frontier < max_frontier and len(out) < degree:
+            frontier += pattern[pos % period]
+            pos += 1
+            pline = frontier - frontier % line_bytes
+            out.append(pline)
+            if not integrated:
+                queue.note_prefetch(pline)
+        stream.frontier = frontier
+        stream.pattern_pos = pos
         self.issued += len(out)
         return out
-
-    def _lock(self, stream: StrideStream) -> None:
-        stream._detect()
-
-    def _advance(self, stream: StrideStream, addr: int) -> int:
-        return stream._advance_from(addr)
 
     # -- checkpointing (state_dict protocol) --------------------------------
 

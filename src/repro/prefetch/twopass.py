@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrefetchIssuePlan:
     """How one L1 prefetch request should be executed."""
 
@@ -38,9 +38,17 @@ class TwoPassController:
     #: Window of first-pass probes per evaluation.
     WINDOW = 32
 
+    #: The one-pass plan (no second-pass delay).
+    ONE_PASS = PrefetchIssuePlan(fill_l2_first=False, second_pass_delay=0.0,
+                                 mode="one")
+
     def __init__(self, second_pass_delay: float = 8.0) -> None:
         self.mode = "two"
         self.second_pass_delay = second_pass_delay
+        #: Plans are immutable, so `plan()` hands out one of two objects.
+        self._two_pass = PrefetchIssuePlan(
+            fill_l2_first=True, second_pass_delay=second_pass_delay,
+            mode="two")
         self._window_probes = 0
         self._window_l2_hits = 0
         self.mode_switches = 0
@@ -50,12 +58,9 @@ class TwoPassController:
     def plan(self) -> PrefetchIssuePlan:
         if self.mode == "two":
             self.first_pass_issues += 1
-            return PrefetchIssuePlan(fill_l2_first=True,
-                                     second_pass_delay=self.second_pass_delay,
-                                     mode="two")
+            return self._two_pass
         self.one_pass_issues += 1
-        return PrefetchIssuePlan(fill_l2_first=False, second_pass_delay=0.0,
-                                 mode="one")
+        return self.ONE_PASS
 
     def observe_first_pass(self, l2_hit: bool) -> None:
         """Track where first passes land; adjust the mode at window ends."""

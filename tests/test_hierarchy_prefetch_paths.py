@@ -71,7 +71,7 @@ def test_exclusive_l3_never_duplicates_l2_lines():
         for off in range(0, m.l2.sector_bytes, 64):
             if line.valid_mask & (1 << (off // 64)):
                 addr = line.address + off
-                if m.l3.probe(addr, update_lru=False, count=False):
+                if m.l3.peek(addr):
                     dups += 1
     # Buddy/standalone fills can transiently overlap; demand lines do not.
     assert dups <= m.stats.prefetches_issued * 0.05 + 2

@@ -77,7 +77,7 @@ def test_store_misses_allocate():
     m = MemoryHierarchy(get_generation("M1"))
     m.access(0x0, 0x5000, now=0.0, is_store=True)
     assert m.l1.contains(0x5000)
-    line = m.l1.probe(0x5000, update_lru=False, count=False)
+    line = m.l1.peek(0x5000)
     assert line.dirty
 
 
