@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .cache import CacheLine
 
 
-@dataclass
+@dataclass(frozen=True)
 class CastoutDecision:
     allocate: bool
     elevated: bool
@@ -32,6 +32,12 @@ class CastoutDecision:
         if not self.allocate:
             return "bypass"
         return "elevated" if self.elevated else "ordinary"
+
+
+#: The three treatments, shared: a castout allocates no decision object.
+ELEVATED = CastoutDecision(allocate=True, elevated=True)
+ORDINARY = CastoutDecision(allocate=True, elevated=False)
+BYPASS = CastoutDecision(allocate=False, elevated=False)
 
 
 class CoordinatedPolicy:
@@ -52,14 +58,14 @@ class CoordinatedPolicy:
         touched = line.accessed or line.hit_count > 0 or line.dirty
         if reused:
             self.elevated += 1
-            return CastoutDecision(allocate=True, elevated=True)
+            return ELEVATED
         if touched:
             self.ordinary += 1
-            return CastoutDecision(allocate=True, elevated=False)
+            return ORDINARY
         # Never touched after fill: prefetched-dead or pure streaming —
         # do not pollute the L3.
         self.bypassed += 1
-        return CastoutDecision(allocate=False, elevated=False)
+        return BYPASS
 
     def state_dict(self) -> dict[str, object]:
         return {
