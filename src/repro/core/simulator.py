@@ -70,6 +70,54 @@ class SimulationResult:
         return window_metric_series(self.windows, attr, warmup=warmup)
 
 
+class _UocDrive:
+    """The UOC block-stream cursor and the per-branch hook that feeds it.
+
+    A separate object so the scoreboard's ``on_branch`` hook does not
+    hold the simulator (which holds the scoreboard): a finished
+    simulator is then freed by reference counting, not left to the
+    cyclic collector.
+    """
+
+    __slots__ = ("uoc", "branch_unit", "block_pc", "last_branch")
+
+    def __init__(self, uoc: Optional[UocController],
+                 branch_unit: BranchUnit) -> None:
+        self.uoc = uoc
+        self.branch_unit = branch_unit
+        #: Start PC of the block in progress (None before the first run).
+        self.block_pc: Optional[int] = None
+        #: Absolute index of the last branch fed in.
+        self.last_branch = -1
+
+    def on_branch(self, rec: TraceRecord, index: int) -> None:
+        """Feed the basic block ended by ``rec`` into the UOC mode
+        machine.
+
+        Driven from inside the scoreboard loop, right after the branch
+        unit processed the record, so the uBTB's learned predictability
+        for each block reflects exactly the instructions retired before
+        it — the same information order as hardware, and the property
+        that makes a checkpointed run feed the UOC identically to an
+        uninterrupted one.
+
+        "Predictable" is instantaneous confidence OR an established
+        low lifetime miss rate: the uBTB zeroes confidence on every LHP
+        miss, so a trip-N loop exit (which misses 1/N of the time by
+        construction) would otherwise break the filter streak on every
+        iteration of a kernel that is exactly what the UOC exists to
+        serve.  Both signals live in checkpointed node state.
+        """
+        node = self.branch_unit.ubtb._get_node(rec.pc)
+        predictable = node is not None and (
+            node.confidence >= 3
+            or (node.visits >= 8 and node.lhp_misses * 8 <= node.visits))
+        self.uoc.on_block(self.block_pc, index - self.last_branch,
+                          predictable)
+        self.block_pc = rec.target if rec.taken else rec.pc + 4
+        self.last_branch = index
+
+
 class GenerationSimulator:
     """One core instance of a given generation.
 
@@ -104,19 +152,18 @@ class GenerationSimulator:
                 sink=trace_sink,
             )
         self.icache = InstructionCache(config, self.memory)
+        # Resumable run-segmentation state (see ``save_state``): the UOC
+        # block-stream cursor, the one-time legacy base-block energy
+        # charge, and the window recorder shared across run segments.
+        self._uoc_drive = _UocDrive(self.uoc, self.branch_unit)
         self.scoreboard = Scoreboard(config, branch_unit=self.branch_unit,
                                      memory=self.memory,
                                      icache=self.icache,
                                      registry=self.metrics,
                                      sink=trace_sink,
-                                     on_branch=(self._uoc_on_branch
+                                     on_branch=(self._uoc_drive.on_branch
                                                 if self.uoc is not None
                                                 else None))
-        # Resumable run-segmentation state (see ``save_state``): the UOC
-        # block-stream cursor, the one-time legacy base-block energy
-        # charge, and the window recorder shared across run segments.
-        self._uoc_block_pc: Optional[int] = None
-        self._uoc_last_branch = -1
         self._legacy_base_charged = False
         self._recorder: Optional[WindowRecorder] = None
 
@@ -145,8 +192,9 @@ class GenerationSimulator:
         """
         recorder = self._ensure_recorder(window_interval, window_counters)
         on_window = recorder.take if recorder is not None else None
-        if self.uoc is not None and self._uoc_block_pc is None and len(trace):
-            self._uoc_block_pc = trace[0].pc
+        drive = self._uoc_drive
+        if self.uoc is not None and drive.block_pc is None and len(trace):
+            drive.block_pc = trace[0].pc
         core = self.scoreboard.run(trace, on_window=on_window,
                                    window_interval=window_interval)
         if self.uoc is not None:
@@ -199,33 +247,6 @@ class GenerationSimulator:
                 "window configuration changed across run segments")
         return self._recorder
 
-    def _uoc_on_branch(self, rec: TraceRecord, index: int) -> None:
-        """Feed the basic block ended by ``rec`` into the UOC mode
-        machine.
-
-        Driven from inside the scoreboard loop, right after the branch
-        unit processed the record, so the uBTB's learned predictability
-        for each block reflects exactly the instructions retired before
-        it — the same information order as hardware, and the property
-        that makes a checkpointed run feed the UOC identically to an
-        uninterrupted one.
-
-        "Predictable" is instantaneous confidence OR an established
-        low lifetime miss rate: the uBTB zeroes confidence on every LHP
-        miss, so a trip-N loop exit (which misses 1/N of the time by
-        construction) would otherwise break the filter streak on every
-        iteration of a kernel that is exactly what the UOC exists to
-        serve.  Both signals live in checkpointed node state.
-        """
-        node = self.branch_unit.ubtb._get_node(rec.pc)
-        predictable = node is not None and (
-            node.confidence >= 3
-            or (node.visits >= 8 and node.lhp_misses * 8 <= node.visits))
-        self.uoc.on_block(self._uoc_block_pc, index - self._uoc_last_branch,
-                          predictable)
-        self._uoc_block_pc = rec.target if rec.taken else rec.pc + 4
-        self._uoc_last_branch = index
-
     # -- checkpointing (state_dict protocol) --------------------------------
 
     def save_state(self) -> dict[str, object]:
@@ -250,8 +271,8 @@ class GenerationSimulator:
                 "scoreboard": self.scoreboard.state_dict(),
             },
             "uoc_drive": {
-                "block_pc": self._uoc_block_pc,
-                "last_branch": self._uoc_last_branch,
+                "block_pc": self._uoc_drive.block_pc,
+                "last_branch": self._uoc_drive.last_branch,
             },
             "legacy_base_charged": self._legacy_base_charged,
             "recorder": (self._recorder.state_dict()
@@ -287,9 +308,10 @@ class GenerationSimulator:
             self.uoc.load_state_dict(comp["uoc"])
         self.scoreboard.load_state_dict(comp["scoreboard"])
         drive = doc["uoc_drive"]
-        self._uoc_block_pc = (int(drive["block_pc"])
-                              if drive["block_pc"] is not None else None)
-        self._uoc_last_branch = int(drive["last_branch"])
+        self._uoc_drive.block_pc = (int(drive["block_pc"])
+                                    if drive["block_pc"] is not None
+                                    else None)
+        self._uoc_drive.last_branch = int(drive["last_branch"])
         self._legacy_base_charged = bool(doc["legacy_base_charged"])
         if doc["recorder"] is not None:
             recorder = WindowRecorder(

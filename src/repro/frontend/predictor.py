@@ -15,6 +15,7 @@ simplification the paper's own trace-driven model makes for speed).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from ..config import GenerationConfig
@@ -153,6 +154,9 @@ class BranchUnit:
         self._e_mbtb_lookup = energy("energy.mbtb_lookup")
         self._e_shp_lookup = energy("energy.shp_lookup")
         self._e_shp_update = energy("energy.shp_update")
+        #: The structures the registry gauges read; `_build_structures`
+        #: repoints it (see `_bind_structure_gauges`).
+        self._live = SimpleNamespace()
         self._build_structures(encrypt, decrypt)
         self._bind_structure_gauges()
         #: Zero-bubble arbiter decisions (Section IV-E): times the uBTB
@@ -195,6 +199,8 @@ class BranchUnit:
             vbtb_chain_slots=bp.vbtb_entries // 2,
         )
         self.accel = RedirectAccelerator(bp.has_1at, bp.has_zat_zot, self.btb)
+        self._live.btb, self._live.ubtb, self._live.ras = (
+            self.btb, self.ubtb, self.ras)
         self.confidence = ConfidenceEstimator()
         self.mrb = MispredictRecoveryBuffer(bp.mrb_entries)
         self._mrb_enabled = self.mrb.enabled
@@ -205,30 +211,35 @@ class BranchUnit:
     def _bind_structure_gauges(self) -> None:
         """Expose sub-structure counters as pull metrics.
 
-        The gauges read through ``self`` (not the structure instances)
-        so a ``context_switch("flush")``, which rebuilds the predictor
-        structures, never leaves a gauge pointing at a dead object.
+        The gauges read through ``self._live``, which
+        ``_build_structures`` repoints, so a ``context_switch("flush")``,
+        which rebuilds the predictor structures, never leaves a gauge
+        pointing at a dead object.  They do not read through ``self``:
+        the unit holds the registry, so a gauge holding the unit would
+        make every finished unit cyclic garbage, freed only by the
+        cyclic collector instead of by reference counting.
         """
         reg = self.stats.registry
-        reg.gauge("frontend.btb.mbtb.hits", lambda: self.btb.hits_mbtb)
-        reg.gauge("frontend.btb.vbtb.hits", lambda: self.btb.hits_vbtb)
-        reg.gauge("frontend.btb.l2btb.hits", lambda: self.btb.hits_l2btb)
-        reg.gauge("frontend.btb.misses", lambda: self.btb.misses)
-        reg.gauge("frontend.btb.vbtb.spills", lambda: self.btb.spills_to_vbtb)
-        reg.gauge("frontend.btb.l2btb.fills", lambda: self.btb.l2btb_fills)
+        live = self._live
+        reg.gauge("frontend.btb.mbtb.hits", lambda: live.btb.hits_mbtb)
+        reg.gauge("frontend.btb.vbtb.hits", lambda: live.btb.hits_vbtb)
+        reg.gauge("frontend.btb.l2btb.hits", lambda: live.btb.hits_l2btb)
+        reg.gauge("frontend.btb.misses", lambda: live.btb.misses)
+        reg.gauge("frontend.btb.vbtb.spills", lambda: live.btb.spills_to_vbtb)
+        reg.gauge("frontend.btb.l2btb.fills", lambda: live.btb.l2btb_fills)
         reg.gauge("frontend.btb.empty_line_skips",
-                  lambda: self.btb.empty_line_skips)
-        reg.gauge("frontend.ubtb.lock_events", lambda: self.ubtb.lock_events)
+                  lambda: live.btb.empty_line_skips)
+        reg.gauge("frontend.ubtb.lock_events", lambda: live.ubtb.lock_events)
         reg.gauge("frontend.ubtb.unlock_events",
-                  lambda: self.ubtb.unlock_events)
+                  lambda: live.ubtb.unlock_events)
         reg.gauge("frontend.ubtb.locked_predictions",
-                  lambda: self.ubtb.locked_predictions)
+                  lambda: live.ubtb.locked_predictions)
         reg.gauge("frontend.ubtb.locked_mispredicts",
-                  lambda: self.ubtb.locked_mispredicts)
+                  lambda: live.ubtb.locked_mispredicts)
         reg.gauge("frontend.ubtb.gated_lookups",
-                  lambda: self.ubtb.gated_lookups)
-        reg.gauge("frontend.ras.overflows", lambda: self.ras.overflows)
-        reg.gauge("frontend.ras.underflows", lambda: self.ras.underflows)
+                  lambda: live.ubtb.gated_lookups)
+        reg.gauge("frontend.ras.overflows", lambda: live.ras.overflows)
+        reg.gauge("frontend.ras.underflows", lambda: live.ras.underflows)
 
     #: Arbiter heuristic: if recent uBTB lock episodes average fewer
     #: branches than this, the graph is thrashing (locking and immediately

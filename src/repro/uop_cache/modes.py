@@ -81,8 +81,10 @@ class UocController:
         self.ledger = (ledger if ledger is not None
                        else EnergyLedger(registry=self.stats.registry))
         reg = self.stats.registry
-        reg.gauge("uoc.cache.hits", lambda: self.uoc.hits)
-        reg.gauge("uoc.cache.misses", lambda: self.uoc.misses)
+        # The gauges hold the UOP cache, not `self`, so no cycle runs
+        # through the registry (see `BranchUnit._bind_structure_gauges`).
+        reg.gauge("uoc.cache.hits", lambda: uoc.hits)
+        reg.gauge("uoc.cache.misses", lambda: uoc.misses)
         self.mode = UocMode.FILTER
         #: uBTB-entry "built" bits, keyed by block start PC.
         self._built_bits: Dict[int, bool] = {}

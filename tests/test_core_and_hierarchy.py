@@ -267,3 +267,41 @@ def test_uoc_saves_frontend_energy_on_kernel():
         return (r.ledger.energy("icache_fetch") + r.ledger.energy("decode")
                 + r.ledger.energy("uoc_fetch") + r.ledger.energy("uoc_build"))
     assert fe(r5) < fe(r4)
+
+
+GAUGES = ("frontend.btb.misses", "mem.tlb.walks", "mem.dram.page_hits",
+          "core.icache.misses", "mem.l2.cache.hits")
+
+
+@pytest.mark.parametrize("gen", ["M1", "M4", "M6"])
+def test_finished_simulator_is_freed_by_reference_counting(gen):
+    """No reference cycle runs through the metric registry: its gauges
+    hold the structures they read, never their owners, so dropping a
+    simulator frees it at once instead of leaving it (caches, BTBs and
+    all) for the cyclic collector.  The result's registry keeps
+    reading the same values afterwards."""
+    import gc
+    import weakref
+    t = make_trace("specint_like", seed=3, n_instructions=3000)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = GenerationSimulator(get_generation(gen))
+        result = sim.run(t)
+        before = [result.metrics.value(name) for name in GAUGES]
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+        assert [result.metrics.value(name) for name in GAUGES] == before
+    finally:
+        gc.enable()
+
+
+def test_branch_gauges_follow_a_flush():
+    cfg = get_generation("M5")
+    sim = GenerationSimulator(cfg)
+    sim.run(make_trace("btb_stress", seed=2, n_instructions=3000))
+    reg = sim.metrics
+    assert reg.value("frontend.btb.misses") > 0
+    sim.branch_unit.context_switch("flush")
+    assert reg.value("frontend.btb.misses") == sim.branch_unit.btb.misses == 0
